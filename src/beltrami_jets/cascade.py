@@ -114,10 +114,17 @@ class TruncatedFactor:
 
     @classmethod
     def from_json(cls, data: dict) -> "TruncatedFactor":
-        components = {
-            int(d): poly_from_json(p) for d, p in data.get("components", {}).items()
-        }
-        return cls(constant=parse_rational(str(data.get("f0", "0"))), components=components)
+        if not isinstance(data, dict) or not isinstance(data.get("components", {}), dict):
+            raise ValueError("factor must be an object with a components object")
+        unknown = set(data) - {"f0", "components"}
+        if unknown:
+            raise ValueError(f"unknown factor keys {sorted(unknown)}")
+        components = {}
+        for key, poly in data.get("components", {}).items():
+            if not (key.isascii() and key.isdigit() and str(int(key)) == key):
+                raise ValueError(f"component key {key!r} is not a decimal degree")
+            components[int(key)] = poly_from_json(poly)
+        return cls(constant=parse_rational(data.get("f0", "0")), components=components)
 
 
 @dataclass(frozen=True)
@@ -143,10 +150,6 @@ def _couplings_for_curl(
             scale = f3_scale if j == 3 else Fraction(1)
             out.append((poly, src, scale))
     return out
-
-
-def _half_gradient(p: HomogeneousPolynomial) -> PolynomialVectorField:
-    return grad(p) * Fraction(1, 2)
 
 
 def assemble_window(
@@ -177,7 +180,7 @@ def assemble_window(
                 src = t + 1 - j
                 if i <= src <= hi:
                     scale = f3_scale if j == 3 else Fraction(1)
-                    couplings.append((_half_gradient(f.components[j]), src, scale))
+                    couplings.append((grad(f.components[j]) * Fraction(1, 2), src, scale))
             rows.extend(first_integral_rows(t, couplings, cs))
     matrix = ConstraintMatrix.from_rows(cs.labels, rows)
     return WindowSystem(base_degree=i, depth=d, matrix=matrix)
@@ -210,34 +213,37 @@ def check_window_solution(
     *,
     f3_scale: Fraction = Fraction(1),
 ) -> bool:
-    """Verify a candidate jet against every window equation via the operators.
+    """Verify a candidate jet against every equation the window determines.
 
-    Independent of the matrix path: uses curl/div/dot/scale_mul on the
-    reconstructed fields, with full (unhalved) first-integral gradients.
+    Independent of the matrix path: the residuals curl X - f X, div X and
+    <grad f, X> of the whole truncated jet (X_m = 0 below m = i, f3 scaled
+    by f3_scale) are computed with curl/div/dot/scale_mul, using full
+    (unhalved) gradients, at the degrees fixed by X_i .. X_{i+d}.
     """
     hi = i + d
-
-    def block(m: int) -> PolynomialVectorField:
-        return fields.get(m, PolynomialVectorField.zero(m))
-
+    jet = {m: fields.get(m, PolynomialVectorField.zero(m)) for m in range(i, hi + 1)}
+    factor = dict(f.components)
+    if f.constant:
+        factor[0] = HomogeneousPolynomial(0, {(0, 0, 0): f.constant})
+    if 3 in factor:
+        factor[3] = factor[3] * f3_scale
     for m in range(i, hi + 1):
-        if not div(block(m)).is_zero():
+        if not div(jet[m]).is_zero():
             return False
-        expected = PolynomialVectorField.zero(max(m - 1, 0))
-        for poly, src, scale in _couplings_for_curl(f, m, i, f3_scale):
-            expected = expected + scale_mul(poly, block(src)) * scale
-        if not (curl(block(m)) - expected).is_zero():
+        residual = curl(jet[m])
+        for j, poly in factor.items():
+            if m - 1 - j in jet:
+                residual = residual - scale_mul(poly, jet[m - 1 - j])
+        if not residual.is_zero():
             return False
-    present = sorted(f.components)
-    if present:
-        jmin = present[0]
+    gradients = {j: grad(poly) for j, poly in factor.items() if j > 0}
+    if gradients:
+        jmin = min(gradients)
         for t in range(i + jmin - 1, hi + jmin):
             total = HomogeneousPolynomial.zero(t)
-            for j in present:
-                src = t + 1 - j
-                if i <= src <= hi:
-                    scale = f3_scale if j == 3 else Fraction(1)
-                    total = total + dot(grad(f.components[j]), block(src)) * scale
+            for j, gradient in gradients.items():
+                if t + 1 - j in jet:
+                    total = total + dot(gradient, jet[t + 1 - j])
             if not total.is_zero():
                 return False
     return True
@@ -341,13 +347,7 @@ class CascadeReport:
     def to_json(self) -> dict:
         return {
             "sigma": [format_rational(v) for v in self.sigma.as_tuple()],
-            "classification": {
-                "same_sign": self.classification.same_sign,
-                "plus_minus_pair": self.classification.plus_minus_pair,
-                "trace_zero": self.classification.trace_zero,
-                "resonant_pair_degree": self.classification.resonant_pair_degree,
-                "risky_degrees": sorted(self.classification.risky_degrees),
-            },
+            "classification": self.classification.to_json(),
             "risky": [entry.to_json() for entry in self.risky],
             "verdict": self.verdict,
         }

@@ -21,15 +21,15 @@ from .cascade import (
     analyze,
 )
 from .cylindrical import verify_beltrami_cylindrical
-from .golden import SuiteConfig, run_suite, span_equals
-from .harmonics import lifted_field, planar_harmonics
-from .linalg import format_rational, parse_rational
-from .polynomials import (
-    field_to_coefficients,
-    field_to_json,
-    fields_from_vector,
-    laplacian,
+from .golden import (
+    SuiteConfig,
+    lifted_fields_span_kernel,
+    planar_harmonics_hold,
+    run_suite,
 )
+from .harmonics import lifted_field
+from .linalg import format_rational, parse_rational
+from .polynomials import field_to_coefficients, field_to_json, fields_from_vector
 from .single_degree import (
     SigmaTriple,
     assemble_single,
@@ -51,15 +51,11 @@ def _parse_sigma(text: str) -> SigmaTriple:
         raise _InputError(str(exc)) from exc
 
 
-def _classification_json(sigma: SigmaTriple) -> dict:
-    c = classify_spectrum(sigma)
-    return {
-        "same_sign": c.same_sign,
-        "plus_minus_pair": c.plus_minus_pair,
-        "trace_zero": c.trace_zero,
-        "resonant_pair_degree": c.resonant_pair_degree,
-        "risky_degrees": sorted(c.risky_degrees),
-    }
+def _unique_keys(pairs: list) -> dict:
+    """json.loads hook rejecting a repeated key, of which json keeps only the last."""
+    if len({key for key, _ in pairs}) != len(pairs):
+        raise ValueError("duplicate key in JSON object")
+    return dict(pairs)
 
 
 def _run_report(command: str, inputs: dict, results: dict) -> dict:
@@ -71,12 +67,8 @@ def _run_report(command: str, inputs: dict, results: dict) -> dict:
     }
 
 
-def _canonical(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
 def _emit(report: dict, args, human_lines: list[str]) -> None:
-    text = _canonical(report)
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out_paths = [p for p in (getattr(args, "out", None), getattr(args, "report", None)) if p]
     for path in out_paths:
         Path(path).write_text(text, encoding="utf-8")
@@ -89,7 +81,7 @@ def _emit(report: dict, args, human_lines: list[str]) -> None:
 
 def _cmd_classify(args) -> int:
     sigma = _parse_sigma(args.sigma)
-    results = _classification_json(sigma)
+    results = classify_spectrum(sigma).to_json()
     report = _run_report(
         "classify",
         {"sigma": [format_rational(v) for v in sigma.as_tuple()]},
@@ -120,7 +112,7 @@ def _cmd_kernel(args) -> int:
         "degree": args.degree,
         "dimension": basis.dimension,
         "basis": fields,
-        "classification": _classification_json(sigma),
+        "classification": classify_spectrum(sigma).to_json(),
     }
     report = _run_report(
         "kernel",
@@ -136,8 +128,8 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_cascade(args) -> int:
     try:
-        data = json.loads(Path(args.factor).read_text(encoding="utf-8"))
-        factor = TruncatedFactor.from_json(data)
+        text = Path(args.factor).read_text(encoding="utf-8")
+        factor = TruncatedFactor.from_json(json.loads(text, object_pairs_hook=_unique_keys))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"bad factor file: {exc}") from exc
     eps = None
@@ -173,25 +165,21 @@ def _cmd_cascade(args) -> int:
 
 
 def _cmd_verify_harmonic(args) -> int:
+    if args.max_degree < 1:
+        raise _InputError("max degree must be at least 1")
     planar_ok = True
     lifted_ok = True
     span_ok = True
     for i in range(1, args.max_degree + 1):
-        pair = planar_harmonics(i)
-        for part in (pair.re_part, pair.im_part):
-            planar_ok = planar_ok and laplacian(part).is_zero()
-            planar_ok = planar_ok and all(m[2] == 0 for m in part.coeffs)
+        planar_ok = planar_ok and planar_harmonics_hold(i)
         sigma = SigmaTriple(1, 1, -i)
-        fields = [lifted_field(i, 1), lifted_field(i, 2)]
         system = assemble_single(i, sigma)
-        for field in fields:
+        for field in (lifted_field(i, 1), lifted_field(i, 2)):
             coeffs = field_to_coefficients(field)
             vec = [coeffs.get(l, Fraction(0)) for l in system.col_labels]
             lifted_ok = lifted_ok and all(r == 0 for r in system.multiply(vec))
         if i >= 3:
-            basis = kernel_single(i, sigma)
-            span_ok = span_ok and basis.dimension == 2
-            span_ok = span_ok and span_equals(basis.vectors, basis.col_labels, fields)
+            span_ok = span_ok and lifted_fields_span_kernel(i, sigma)
     results = {
         "max_degree": args.max_degree,
         "planar_ok": planar_ok,
@@ -225,9 +213,8 @@ def _cmd_verify_suite(args) -> int:
     config = SuiteConfig()
     if args.config:
         try:
-            config = SuiteConfig.from_json(
-                json.loads(Path(args.config).read_text(encoding="utf-8"))
-            )
+            text = Path(args.config).read_text(encoding="utf-8")
+            config = SuiteConfig.from_json(json.loads(text, object_pairs_hook=_unique_keys))
         except (OSError, ValueError, TypeError) as exc:
             raise _InputError(f"bad suite config: {exc}") from exc
     results = run_suite(config)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 from .cascade import (
@@ -75,19 +75,21 @@ class SuiteConfig:
     series_order: int = 18
     seed: int = 20260810
 
-    def to_json(self) -> dict:
-        return {
-            "resonance_table": [[i, s] for i, s in self.resonance_table],
-            "pair_sigmas": list(self.pair_sigmas),
-            "traceless_sigmas": list(self.traceless_sigmas),
-            "same_sign_samples": self.same_sign_samples,
-            "mixed_samples": self.mixed_samples,
-            "sample_max_degree": self.sample_max_degree,
-            "window_zero_range": list(self.window_zero_range),
-            "window_nonzero_range": list(self.window_nonzero_range),
-            "series_order": self.series_order,
-            "seed": self.seed,
+    def __post_init__(self):
+        minimums = {
+            "same_sign_samples": 1, "mixed_samples": 1, "sample_max_degree": 1, "series_order": 6,
         }
+        for name, least in minimums.items():
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("resonance_table", "pair_sigmas", "traceless_sigmas",
+                     "window_zero_range", "window_nonzero_range"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+
+    def to_json(self) -> dict:
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "SuiteConfig":
@@ -216,6 +218,36 @@ def span_equals(basis_vectors, col_labels, fields) -> bool:
     return rank_of_vectors(stacked) == rank_of_vectors(stacked + extra) == len(fields)
 
 
+def planar_harmonics_hold(i: int) -> bool:
+    """Re/Im((x+Iy)^i) are z-free and harmonic, and the planar Laplacian on
+    degree-i (x,y)-polynomials has a 2-dim kernel."""
+    pair = planar_harmonics(i)
+    for part in (pair.re_part, pair.im_part):
+        if not (all(m[2] == 0 for m in part.coeffs) and laplacian(part).is_zero()):
+            return False
+    cols = [m for m in monomials_of_degree(i) if m[2] == 0]
+    pos = {m: k for k, m in enumerate(cols)}
+    rows = []
+    for mu in monomials_of_degree(i - 2):
+        if mu[2] != 0:
+            continue
+        row = {}
+        mx = (mu[0] + 2, mu[1], 0)
+        my = (mu[0], mu[1] + 2, 0)
+        row[pos[mx]] = Fraction((mu[0] + 2) * (mu[0] + 1))
+        row[pos[my]] = Fraction((mu[1] + 2) * (mu[1] + 1))
+        rows.append((("lap", mu), row))
+    return rank(ConstraintMatrix.from_rows(cols, rows)) == len(cols) - 2
+
+
+def lifted_fields_span_kernel(i: int, s: SigmaTriple) -> bool:
+    """The degree-i kernel for s is 2-dim and spanned by the lifted fields."""
+    basis = kernel_single(i, s)
+    return basis.dimension == 2 and span_equals(
+        basis.vectors, basis.col_labels, [lifted_field(i, 1), lifted_field(i, 2)]
+    )
+
+
 def counterexample_factor() -> TruncatedFactor:
     """f = 1 + (x^2 + y^2 - z^2) + 2xyz."""
     return TruncatedFactor.diagonal(
@@ -268,27 +300,7 @@ def _check_reference_rows_degree_two(cfg: SuiteConfig) -> CheckResult:
 
 
 def _check_planar_harmonics(cfg: SuiteConfig) -> CheckResult:
-    ok = True
-    for i in range(1, 9):
-        pair = planar_harmonics(i)
-        for part in (pair.re_part, pair.im_part):
-            ok = ok and all(m[2] == 0 for m in part.coeffs)
-            ok = ok and laplacian(part).is_zero()
-        # planar Laplacian on degree-i (x,y)-polynomials has a 2-dim kernel
-        cols = [m for m in monomials_of_degree(i) if m[2] == 0]
-        pos = {m: k for k, m in enumerate(cols)}
-        rows = []
-        for mu in monomials_of_degree(i - 2):
-            if mu[2] != 0:
-                continue
-            row = {}
-            mx = (mu[0] + 2, mu[1], 0)
-            my = (mu[0], mu[1] + 2, 0)
-            row[pos[mx]] = Fraction((mu[0] + 2) * (mu[0] + 1))
-            row[pos[my]] = Fraction((mu[1] + 2) * (mu[1] + 1))
-            rows.append((("lap", mu), row))
-        matrix = ConstraintMatrix.from_rows(cols, rows)
-        ok = ok and rank(matrix) == len(cols) - 2
+    ok = all(planar_harmonics_hold(i) for i in range(1, 9))
     return CheckResult("planar_harmonics_basis", ok, "harmonic, z-free, and spanning a 2-dim kernel")
 
 
@@ -296,11 +308,7 @@ def _check_lifted_fields(cfg: SuiteConfig) -> CheckResult:
     ok = True
     details = []
     for i, sigma_text in cfg.resonance_table:
-        s = SigmaTriple.parse(sigma_text)
-        basis = kernel_single(i, s)
-        good = basis.dimension == 2 and span_equals(
-            basis.vectors, basis.col_labels, [lifted_field(i, 1), lifted_field(i, 2)]
-        )
+        good = lifted_fields_span_kernel(i, SigmaTriple.parse(sigma_text))
         details.append(f"i={i}:{'ok' if good else 'BAD'}")
         ok = ok and good
     return CheckResult("lifted_fields_span_resonant_kernels", ok, " ".join(details))
@@ -380,28 +388,15 @@ def _check_window_zero_constant(cfg: SuiteConfig) -> CheckResult:
 
 
 def _check_window_nonzero_constant(cfg: SuiteConfig) -> CheckResult:
+    cases = [(f"i={i}", SigmaTriple(1, 1, -i), i) for i in cfg.window_nonzero_range]
+    cases += [(f"i=1 ({text})", SigmaTriple.parse(text), 1) for text in cfg.pair_sigmas]
+    cases += [(f"i=2 ({text})", SigmaTriple.parse(text), 2) for text in cfg.traceless_sigmas]
     ok = True
     details = []
-    for i in cfg.window_nonzero_range:
-        f = TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -i))
-        _, projection = window_kernel(f, i, 1)
-        good = projection == 0
-        details.append(f"i={i}:{'ok' if good else 'BAD'}")
-        ok = ok and good
-    for sigma_text in cfg.pair_sigmas:
-        _, projection = window_kernel(
-            TruncatedFactor.diagonal(1, SigmaTriple.parse(sigma_text)), 1, 1
-        )
-        good = projection == 0
-        details.append(f"i=1 ({sigma_text}):{'ok' if good else 'BAD'}")
-        ok = ok and good
-    for sigma_text in cfg.traceless_sigmas:
-        _, projection = window_kernel(
-            TruncatedFactor.diagonal(1, SigmaTriple.parse(sigma_text)), 2, 1
-        )
-        good = projection == 0
-        details.append(f"i=2 ({sigma_text}):{'ok' if good else 'BAD'}")
-        ok = ok and good
+    for label, sigma, i in cases:
+        _, projection = window_kernel(TruncatedFactor.diagonal(1, sigma), i, 1)
+        details.append(f"{label}:{'ok' if projection == 0 else 'BAD'}")
+        ok = ok and projection == 0
     return CheckResult("coupled_window_nonzero_constant", ok, " ".join(details))
 
 

@@ -29,6 +29,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational string: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -134,9 +136,10 @@ def _primitive(row: dict[int, int]) -> None:
             row[c] //= g
 
 
-def _integer_rows(m: ConstraintMatrix) -> list[dict[int, int]]:
+def _integer_rows(rational_rows: Iterable[dict[int, Fraction]]) -> list[dict[int, int]]:
+    """Clear each nonempty row's denominators and make it primitive."""
     rows: list[dict[int, int]] = []
-    for row in m.row_dicts():
+    for row in rational_rows:
         if not row:
             continue
         lcm = 1
@@ -181,21 +184,13 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 def rank(m: ConstraintMatrix) -> int:
     """Exact rank over the rationals."""
-    return len(_echelon(_integer_rows(m)))
+    return len(_echelon(_integer_rows(m.row_dicts())))
 
 
 def rank_of_vectors(vectors: Iterable[Sequence[Fraction]]) -> int:
     """Rank of a list of dense rational vectors (stacked as rows)."""
-    rows = []
-    for vec in vectors:
-        lcm = 1
-        for v in vec:
-            d = Fraction(v).denominator
-            lcm = lcm // gcd(lcm, d) * d
-        row = {c: int(v * lcm) for c, v in enumerate(vec) if v != 0}
-        if row:
-            rows.append(row)
-    return len(_echelon(rows))
+    rows = ({c: v for c, v in enumerate(vec) if v != 0} for vec in vectors)
+    return len(_echelon(_integer_rows(rows)))
 
 
 def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
@@ -204,7 +199,7 @@ def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
     Every returned vector is re-multiplied against the matrix as a guard;
     a nonzero residual would be an internal error.
     """
-    pivots = _echelon(_integer_rows(m))
+    pivots = _echelon(_integer_rows(m.row_dicts()))
     free_cols = [c for c in range(m.cols) if c not in pivots]
     vectors: list[tuple[Fraction, ...]] = []
     pivot_cols_desc = sorted(pivots, reverse=True)
@@ -236,21 +231,11 @@ def is_consistent(m: ConstraintMatrix, rhs: Sequence[Fraction]) -> bool:
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match row count")
     b_col = m.cols  # one past the last column, so it is never a preferred pivot
-    rows = []
-    for r, row in enumerate(m.row_dicts()):
-        full = dict(row)
-        if rhs[r] != 0:
-            full[b_col] = Fraction(rhs[r])
-        if not full:
-            continue
-        lcm = 1
-        for v in full.values():
-            d = v.denominator
-            lcm = lcm // gcd(lcm, d) * d
-        irow = {c: int(v * lcm) for c, v in full.items()}
-        _primitive(irow)
-        rows.append(irow)
-    return b_col not in _echelon(rows)
+    augmented = (
+        {**row, b_col: Fraction(rhs[r])} if rhs[r] != 0 else row
+        for r, row in enumerate(m.row_dicts())
+    )
+    return b_col not in _echelon(_integer_rows(augmented))
 
 
 def rank_dense(m: ConstraintMatrix) -> int:

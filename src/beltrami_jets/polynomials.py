@@ -148,13 +148,6 @@ class PolynomialVectorField:
         z = HomogeneousPolynomial.zero(degree)
         return cls(degree, z, z, z)
 
-    @classmethod
-    def from_components(
-        cls, components: Sequence[HomogeneousPolynomial]
-    ) -> "PolynomialVectorField":
-        cx, cy, cz = components
-        return cls(cx.degree, cx, cy, cz)
-
     @property
     def components(self) -> tuple[HomogeneousPolynomial, ...]:
         return (self.x, self.y, self.z)
@@ -322,12 +315,18 @@ def poly_to_json(g: HomogeneousPolynomial) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    if type(value) is not int:  # bool is an int subclass; floats would truncate
+        raise ValueError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
 def poly_from_json(data: dict) -> HomogeneousPolynomial:
-    degree = int(data["degree"])
+    degree = _json_int(data["degree"])
     coeffs: dict[Monomial, Fraction] = {}
     for term in data.get("terms", []):
-        k = tuple(int(e) for e in term["k"])
-        coeffs[k] = coeffs.get(k, Fraction(0)) + parse_rational(str(term["c"]))
+        k = tuple(_json_int(e) for e in term["k"])
+        coeffs[k] = coeffs.get(k, Fraction(0)) + parse_rational(term["c"])
     return HomogeneousPolynomial(degree, coeffs)
 
 
@@ -342,7 +341,7 @@ def field_to_json(v: PolynomialVectorField) -> dict:
 
 def field_from_json(data: dict) -> PolynomialVectorField:
     return PolynomialVectorField(
-        int(data["degree"]),
+        _json_int(data["degree"]),
         poly_from_json(data["x"]),
         poly_from_json(data["y"]),
         poly_from_json(data["z"]),

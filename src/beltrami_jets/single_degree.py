@@ -87,6 +87,15 @@ class SpectrumClassification:
     resonant_pair_degree: int | None
     risky_degrees: frozenset[int]
 
+    def to_json(self) -> dict:
+        return {
+            "same_sign": self.same_sign,
+            "plus_minus_pair": self.plus_minus_pair,
+            "trace_zero": self.trace_zero,
+            "resonant_pair_degree": self.resonant_pair_degree,
+            "risky_degrees": sorted(self.risky_degrees),
+        }
+
 
 def classify_spectrum(s: SigmaTriple) -> SpectrumClassification:
     """All applicable spectrum flags; categories can overlap."""

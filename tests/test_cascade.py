@@ -20,6 +20,7 @@ from beltrami_jets import (
     kernel_single,
     window_kernel,
 )
+from beltrami_jets import cascade
 from beltrami_jets.cascade import (
     block_projection_dim,
     check_window_solution,
@@ -307,6 +308,14 @@ def test_counterexample_window_kernel_is_the_displayed_pair():
     pair_vec = [coeffs.get(l, Fraction(0)) for l in basis.col_labels]
     stacked = [list(v) for v in basis.vectors]
     assert rank_of_vectors(stacked + [pair_vec]) == 1
+
+
+def test_guard_catches_dropped_curl_couplings(monkeypatch):
+    # the guard recomputes curl X - f X itself, so a coupling-selection bug
+    # in the assembler cannot hide from it
+    monkeypatch.setattr(cascade, "_couplings_for_curl", lambda *args: [])
+    with pytest.raises(AssertionError, match="substitution check"):
+        window_kernel(TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -3)), 3, 1)
 
 
 def test_forced_source_probe():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import pytest
+
 from beltrami_jets import HomogeneousPolynomial, SigmaTriple, TruncatedFactor
 from beltrami_jets.cli import main
 from beltrami_jets.golden import SuiteConfig, run_suite
@@ -119,6 +121,45 @@ def test_cascade_malformed_json_exits_2(tmp_path, capsys):
     assert "bad factor file" in capsys.readouterr().err
 
 
+def _factor_text(f0='"1"', key="3", degree="3", k="[1, 1, 1]", c='"2"'):
+    """The counterexample factor file, with raw JSON for f0 and the cubic component."""
+    quadric = json.dumps(poly_to_json(P(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -1})))
+    cubic = f'{{"degree": {degree}, "terms": [{{"k": {k}, "c": {c}}}]}}'
+    return f'{{"f0": {f0}, "components": {{"2": {quadric}, "{key}": {cubic}}}}}'
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (_factor_text(), 1),
+        (_factor_text(k="[1.9, 1, 1]"), 2),
+        (_factor_text(k="[true, 1, 1]"), 2),
+        (_factor_text(c="2e-400"), 2),
+        (_factor_text(c="2"), 2),
+        (_factor_text(f0="1.0"), 2),
+        (_factor_text(key="03"), 2),
+        (_factor_text(key=" 3"), 2),
+        (_factor_text(degree='"3"'), 2),
+        (_factor_text().replace('"3": ', '"3": {"degree": 3, "terms": []}, "3": '), 2),
+        (_factor_text().replace('"f0"', '"f_0"'), 2),
+        ("[]", 2),
+        ('{"components": []}', 2),
+    ],
+    ids=[
+        "as_documented", "float_exponent", "bool_exponent", "float_coefficient",
+        "int_coefficient", "float_f0", "zero_padded_key", "space_padded_key",
+        "string_degree", "duplicate_key", "unknown_key", "factor_not_object",
+        "components_not_object",
+    ],
+)
+def test_cascade_factor_file_boundary(tmp_path, capsys, text, code):
+    path = tmp_path / "f.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["cascade", "--factor", str(path)]) == code
+    if code == 2:
+        assert "bad factor file" in capsys.readouterr().err
+
+
 def test_cascade_window_over_degree_cap_exits_2(tmp_path, capsys):
     factor = TruncatedFactor.diagonal(0, SigmaTriple(1, 1, -15))
     path = _write_factor(tmp_path / "f.json", factor)
@@ -164,6 +205,12 @@ def test_verify_harmonic(capsys):
     }
 
 
+@pytest.mark.parametrize("degree", ["-5", "0"])
+def test_verify_harmonic_rejects_empty_degree_range(capsys, degree):
+    assert main(["verify-harmonic", "--max-degree", degree]) == 2
+    assert "max degree" in capsys.readouterr().err
+
+
 def test_verify_bessel(capsys):
     assert main(["verify-bessel", "--order", "12", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -196,6 +243,38 @@ def test_suite_runs_with_small_config(tmp_path, capsys):
     assert len(checks) >= 10
     assert all(c["passed"] for c in checks)
     assert report["results"]["all_passed"] is True
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"same_sign_samples": -3},
+        {"mixed_samples": 0},
+        {"sample_max_degree": 0},
+        {"same_sign_samples": True},
+        {"series_order": 5},
+        {"resonance_table": []},
+        {"pair_sigmas": []},
+        {"traceless_sigmas": []},
+        {"window_zero_range": []},
+        {"window_nonzero_range": []},
+    ],
+    ids=lambda override: next(iter(override)) + "=" + json.dumps(next(iter(override.values()))),
+)
+def test_suite_config_that_would_pass_vacuously_exits_2(tmp_path, capsys, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(override), encoding="utf-8")
+    assert main(["verify-paper-suite", "--config", str(path)]) == 2
+    assert "bad suite config" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in override.items()})
+
+
+def test_suite_config_with_duplicate_key_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"same_sign_samples": 2, "same_sign_samples": 3}', encoding="utf-8")
+    assert main(["verify-paper-suite", "--config", str(path)]) == 2
+    assert "duplicate key" in capsys.readouterr().err
 
 
 def test_suite_fault_injection_names_the_failure(tmp_path, capsys):

@@ -148,6 +148,49 @@ def test_consistency_by_rank_comparison():
     assert not is_consistent(m0, [Fraction(0), Fraction(1)])
 
 
+def _sparse_value(rng):
+    if rng.random() < 0.5:
+        return rng.randint(-4, 4)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+
+def test_clearing_path_agrees_with_dense_oracle():
+    # is_consistent and rank_of_vectors against rank_dense on sparse matrices
+    # with int and Fraction entries, all-zero rows and columns, and zero rhs
+    rng = random.Random(2718)
+    verdicts = set()
+    for _ in range(120):
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 6)
+        zero_rows = {r for r in range(nrows) if rng.random() < 0.25}
+        zero_cols = {c for c in range(ncols) if rng.random() < 0.25}
+        data = {}
+        for r in range(nrows):
+            for c in range(ncols):
+                if r not in zero_rows and c not in zero_cols and rng.random() < 0.4:
+                    v = _sparse_value(rng)
+                    if v:
+                        data[(r, c)] = v
+        m = ConstraintMatrix(
+            rows=nrows, cols=ncols, entries=data,
+            col_labels=tuple(range(ncols)), row_labels=tuple(range(nrows)),
+        )
+        if rng.random() < 0.2:
+            rhs = [0] * nrows
+        else:
+            rhs = [_sparse_value(rng) if rng.random() < 0.5 else 0 for _ in range(nrows)]
+        augmented = ConstraintMatrix(
+            rows=nrows, cols=ncols + 1,
+            entries={**data, **{(r, ncols): b for r, b in enumerate(rhs) if b}},
+            col_labels=tuple(range(ncols + 1)), row_labels=tuple(range(nrows)),
+        )
+        consistent = is_consistent(m, rhs)
+        assert consistent == (rank_dense(augmented) == rank_dense(m))
+        verdicts.add(consistent)
+        vectors = [[data.get((r, c), 0) for c in range(ncols)] for r in range(nrows)]
+        assert rank_of_vectors(vectors) == rank_dense(m)
+    assert verdicts == {True, False}
+
+
 def test_labels_must_match_dimensions():
     with pytest.raises(ValueError):
         ConstraintMatrix(rows=1, cols=2, entries={}, col_labels=("a",), row_labels=("r",))
