@@ -140,39 +140,43 @@ def _radial_equations_hold(u: RadialSeries, v: RadialSeries, through: int) -> bo
     return True
 
 
-def cartesian_lift(u: RadialSeries, v: RadialSeries, through: int) -> dict[int, PolynomialVectorField]:
-    """Homogeneous components of X = (u/r)(-y, x, 0) + v (0, 0, 1).
+def _lift_degree(u: RadialSeries, v: RadialSeries, k: int) -> PolynomialVectorField:
+    """Degree-k component of X = (u/r)(-y, x, 0) + v (0, 0, 1), zero where u and v vanish.
 
-    Requires u supported on exponents 3 mod 6 and v on 0 mod 6, which makes
-    every component a polynomial in (x, y).
+    The supports must be the ones `_check_lift_support` accepts.
     """
+    r2 = HomogeneousPolynomial(2, {(2, 0, 0): 1, (0, 2, 0): 1})
+    if k in u.coeffs:
+        planar = (r2 ** ((k - 1) // 2)) * u.coeffs[k]
+        return PolynomialVectorField(
+            k,
+            planar * HomogeneousPolynomial.monomial((0, 1, 0), -1),
+            planar * HomogeneousPolynomial.monomial((1, 0, 0)),
+            HomogeneousPolynomial.zero(k),
+        )
+    if k in v.coeffs:
+        z = HomogeneousPolynomial.zero(k)
+        return PolynomialVectorField(k, z, z, (r2 ** (k // 2)) * v.coeffs[k])
+    return PolynomialVectorField.zero(k)
+
+
+def _check_lift_support(u: RadialSeries, v: RadialSeries) -> None:
     for k in u.coeffs:
         if k % 6 != 3:
             raise ValueError("phi profile must be supported on exponents 3 mod 6")
     for k in v.coeffs:
         if k % 6 != 0:
             raise ValueError("z profile must be supported on exponents 0 mod 6")
-    r2 = HomogeneousPolynomial(2, {(2, 0, 0): 1, (0, 2, 0): 1})
-    fields: dict[int, PolynomialVectorField] = {}
-    for k, c in u.coeffs.items():
-        if k > through:
-            continue
-        planar = (r2 ** ((k - 1) // 2)) * c
-        fields[k] = PolynomialVectorField(
-            k,
-            planar * HomogeneousPolynomial.monomial((0, 1, 0), -1),
-            planar * HomogeneousPolynomial.monomial((1, 0, 0)),
-            HomogeneousPolynomial.zero(k),
-        )
-    for k, c in v.coeffs.items():
-        if k > through:
-            continue
-        zc = (r2 ** (k // 2)) * c
-        field = PolynomialVectorField(
-            k, HomogeneousPolynomial.zero(k), HomogeneousPolynomial.zero(k), zc
-        )
-        fields[k] = fields[k] + field if k in fields else field
-    return fields
+
+
+def cartesian_lift(u: RadialSeries, v: RadialSeries, through: int) -> dict[int, PolynomialVectorField]:
+    """Homogeneous components of X = (u/r)(-y, x, 0) + v (0, 0, 1).
+
+    Requires u supported on exponents 3 mod 6 and v on 0 mod 6, which makes
+    every component a polynomial in (x, y).
+    """
+    _check_lift_support(u, v)
+    return {k: _lift_degree(u, v, k) for k in (*u.coeffs, *v.coeffs) if k <= through}
 
 
 def verify_beltrami_cylindrical(N: int) -> CylindricalReport:
@@ -197,26 +201,24 @@ def verify_beltrami_cylindrical(N: int) -> CylindricalReport:
     axis_critical = all(
         m[0] + m[1] >= 1 for comp in gradient.components for m in comp.coeffs
     )
-    fields = cartesian_lift(u, v, N + 1)
+    _check_lift_support(u, v)
+    # Degree t of curl(X) = f X pairs X_{t+1} with f2 * X_{t-2}.  The lift is
+    # built one degree ahead and each component is dropped once no equation
+    # refers to it, so the check holds four components, not N.
+    lifted = {0: _lift_degree(u, v, 0)}
     cartesian_ok = axis_critical
     for t in range(N + 1):
-        # degree-t match of curl(X) = f X: curl(X_{t+1}) = f2 * X_{t-2}
-        lhs = curl(fields.get(t + 1, PolynomialVectorField.zero(t + 1)))
-        rhs = (
-            scale_mul(factor, fields[t - 2])
-            if t - 2 >= 0 and t - 2 in fields
-            else PolynomialVectorField.zero(max(t, 0))
-        )
-        if not (lhs - rhs).is_zero():
+        lifted[t + 1] = _lift_degree(u, v, t + 1)
+        lifted.pop(t - 3, None)
+        rhs = scale_mul(factor, lifted[t - 2]) if t >= 2 else PolynomialVectorField.zero(t)
+        field = lifted[t]
+        if not (
+            (curl(lifted[t + 1]) - rhs).is_zero()
+            and div(field).is_zero()
+            and dot(gradient, field).is_zero()
+        ):
             cartesian_ok = False
             break
-    if cartesian_ok:
-        for m, field in fields.items():
-            if m > N:
-                continue
-            if not div(field).is_zero() or not dot(gradient, field).is_zero():
-                cartesian_ok = False
-                break
     return CylindricalReport(
         order=N,
         recurrence_ok=recurrence_ok,

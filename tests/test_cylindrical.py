@@ -10,6 +10,7 @@ from beltrami_jets import (
     HomogeneousPolynomial,
     bessel_series_coefficients,
     curl,
+    cylindrical,
     div,
     scale_mul,
     solve_cylindrical_recurrence,
@@ -115,3 +116,18 @@ def test_full_verification_report():
     }
     with pytest.raises(ValueError):
         verify_beltrami_cylindrical(5)
+
+
+@pytest.mark.parametrize("wrong_degree", [0, 3, 12])
+def test_cartesian_check_sees_every_lifted_degree(monkeypatch, wrong_degree):
+    """The check keeps only a window of lifted components; a wrong one still fails it."""
+    lift = cylindrical._lift_degree
+
+    def doubled_at_wrong_degree(u, v, k):
+        field = lift(u, v, k)
+        return field * 2 if k == wrong_degree else field
+
+    monkeypatch.setattr(cylindrical, "_lift_degree", doubled_at_wrong_degree)
+    report = verify_beltrami_cylindrical(12)
+    assert report.recurrence_ok and report.bessel_match_ok
+    assert not report.cartesian_ok
