@@ -14,7 +14,6 @@ from .cascade import (
     WindowSystem,
     analyze,
     assemble_window,
-    epsilon_window,
     window_kernel,
 )
 from .cylindrical import (
@@ -70,7 +69,6 @@ __all__ = [
     "curl",
     "div",
     "dot",
-    "epsilon_window",
     "grad",
     "kernel_basis",
     "kernel_single",

@@ -25,10 +25,10 @@ from .polynomials import (
 RowLabel = tuple[str, Monomial]
 Row = tuple[RowLabel, dict[int, Fraction]]
 
-# coupling: (known polynomial or field, degree of the unknown block it multiplies,
-#            scalar applied to every produced entry)
-PolyCoupling = tuple[HomogeneousPolynomial, int, Fraction]
-FieldCoupling = tuple[PolynomialVectorField, int, Fraction]
+# coupling: (known polynomial or field, degree of the unknown block it multiplies);
+# curl rows subtract their couplings, first-integral rows add theirs
+PolyCoupling = tuple[HomogeneousPolynomial, int]
+FieldCoupling = tuple[PolynomialVectorField, int]
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ class ColumnSpace:
     def position(self, label: CoefficientIndex) -> int:
         return self._index[label]
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def _sub(m: Monomial, n: Monomial) -> Monomial | None:
     out = (m[0] - n[0], m[1] - n[1], m[2] - n[2])
@@ -77,19 +74,19 @@ def _coupling_entries(
     poly: HomogeneousPolynomial,
     axis: str,
     src_degree: int,
-    scale: Fraction,
+    subtract: bool,
 ) -> None:
-    """Entries of coefficient(mu) in poly * X_src^axis, scaled."""
+    """Entries of coefficient(mu) in poly * X_src^axis, added or subtracted."""
     for nu, c in poly.coeffs.items():
         target = _sub(mu, nu)
         if target is not None:
-            _add_entry(row, cs, CoefficientIndex(axis, target, src_degree), scale * c)
+            _add_entry(row, cs, CoefficientIndex(axis, target, src_degree), -c if subtract else c)
 
 
 def curl_rows(
     m_degree: int, couplings: Sequence[PolyCoupling], cs: ColumnSpace
 ) -> list[Row]:
-    """Rows of curl(X_m) - sum(scale * f * X_src) = 0, matched at degree m-1.
+    """Rows of curl(X_m) - sum(f * X_src) = 0, matched at degree m-1.
 
     Emitted in component order (curl_x, curl_y, curl_z), monomials in
     descending lex within each component.
@@ -122,8 +119,8 @@ def curl_rows(
                 CoefficientIndex(minus_axis, tuple(up), m_degree),
                 Fraction(-(mu[minus_idx] + 1)),
             )
-            for poly, src, scale in couplings:
-                _coupling_entries(row, cs, mu, poly, comp, src, -scale)
+            for poly, src in couplings:
+                _coupling_entries(row, cs, mu, poly, comp, src, subtract=True)
             if row:
                 rows.append(((f"{tag}@{m_degree}", mu), row))
     return rows
@@ -152,7 +149,7 @@ def div_rows(m_degree: int, cs: ColumnSpace) -> list[Row]:
 def first_integral_rows(
     t_degree: int, couplings: Sequence[FieldCoupling], cs: ColumnSpace
 ) -> list[Row]:
-    """Rows of sum(scale * <G, X_src>) = 0 matched at degree t.
+    """Rows of sum(<G, X_src>) = 0 matched at degree t.
 
     G is the halved gradient field of a factor component, so the stored
     rows carry sigma-coefficients rather than 2*sigma.
@@ -160,9 +157,9 @@ def first_integral_rows(
     rows: list[Row] = []
     for mu in monomials_of_degree(t_degree):
         row: dict[int, Fraction] = {}
-        for field, src, scale in couplings:
+        for field, src in couplings:
             for axis in AXES:
-                _coupling_entries(row, cs, mu, field.component(axis), axis, src, scale)
+                _coupling_entries(row, cs, mu, field.component(axis), axis, src, subtract=False)
         if row:
             rows.append(((f"fi@{t_degree}", mu), row))
     return rows

@@ -88,8 +88,12 @@ class TruncatedFactor:
     def max_degree(self) -> int:
         return max(self.components, default=0)
 
-    def component(self, degree: int) -> HomogeneousPolynomial:
-        return self.components.get(degree, HomogeneousPolynomial.zero(degree))
+    def with_cubic_scaled(self, eps) -> "TruncatedFactor":
+        """f0 + f2 + eps*f3 + f4 + ...; eps = 0 drops f3."""
+        if 3 not in self.components:
+            raise ValueError("scaling f3 requires a degree-3 factor component")
+        cubic = self.components[3] * coerce_rational(eps)
+        return TruncatedFactor(self.constant, {**self.components, 3: cubic})
 
     def sigma(self) -> SigmaTriple:
         """Extract (s1, s2, s3) from f2; requires an exactly diagonal quadric."""
@@ -137,28 +141,20 @@ class WindowSystem:
 
 
 def _couplings_for_curl(
-    f: TruncatedFactor, m: int, lo: int, f3_scale: Fraction
-) -> list[tuple[HomogeneousPolynomial, int, Fraction]]:
+    f: TruncatedFactor, m: int, lo: int
+) -> list[tuple[HomogeneousPolynomial, int]]:
     out = []
     if f.constant != 0 and m - 1 >= lo:
-        out.append(
-            (HomogeneousPolynomial(0, {(0, 0, 0): f.constant}), m - 1, Fraction(1))
-        )
+        out.append((HomogeneousPolynomial(0, {(0, 0, 0): f.constant}), m - 1))
     for j, poly in sorted(f.components.items()):
         src = m - 1 - j
         if src >= lo:
-            scale = f3_scale if j == 3 else Fraction(1)
-            out.append((poly, src, scale))
+            out.append((poly, src))
     return out
 
 
 def assemble_window(
-    f: TruncatedFactor,
-    i: int,
-    d: int,
-    *,
-    f3_scale: Fraction = Fraction(1),
-    degree_cap: int = DEGREE_CAP,
+    f: TruncatedFactor, i: int, d: int, *, degree_cap: int = DEGREE_CAP
 ) -> WindowSystem:
     """Assemble the window system for unknowns X_i .. X_{i+d}."""
     if i < 1 or d < 0:
@@ -169,30 +165,20 @@ def assemble_window(
     cs = ColumnSpace.for_degrees(range(i, hi + 1))
     rows = []
     for m in range(i, hi + 1):
-        rows.extend(curl_rows(m, _couplings_for_curl(f, m, i, f3_scale), cs))
+        rows.extend(curl_rows(m, _couplings_for_curl(f, m, i), cs))
         rows.extend(div_rows(m, cs))
     present = sorted(f.components)
     if present:
         jmin = present[0]
         for t in range(i + jmin - 1, hi + jmin):
-            couplings = []
-            for j in present:
-                src = t + 1 - j
-                if i <= src <= hi:
-                    scale = f3_scale if j == 3 else Fraction(1)
-                    couplings.append((grad(f.components[j]) * Fraction(1, 2), src, scale))
+            couplings = [
+                (grad(f.components[j]) * Fraction(1, 2), t + 1 - j)
+                for j in present
+                if i <= t + 1 - j <= hi
+            ]
             rows.extend(first_integral_rows(t, couplings, cs))
     matrix = ConstraintMatrix.from_rows(cs.labels, rows)
     return WindowSystem(base_degree=i, depth=d, matrix=matrix)
-
-
-def epsilon_window(
-    f: TruncatedFactor, i: int, d: int, eps, *, degree_cap: int = DEGREE_CAP
-) -> WindowSystem:
-    """Window with every coupling entry arising from f3 scaled by eps."""
-    if 3 not in f.components:
-        raise ValueError("epsilon window requires a degree-3 factor component")
-    return assemble_window(f, i, d, f3_scale=coerce_rational(eps), degree_cap=degree_cap)
 
 
 def block_projection_dim(basis: KernelBasis, term_degree: int) -> int:
@@ -210,23 +196,19 @@ def check_window_solution(
     i: int,
     d: int,
     fields: dict[int, PolynomialVectorField],
-    *,
-    f3_scale: Fraction = Fraction(1),
 ) -> bool:
     """Verify a candidate jet against every equation the window determines.
 
     Independent of the matrix path: the residuals curl X - f X, div X and
-    <grad f, X> of the whole truncated jet (X_m = 0 below m = i, f3 scaled
-    by f3_scale) are computed with curl/div/dot/scale_mul, using full
-    (unhalved) gradients, at the degrees fixed by X_i .. X_{i+d}.
+    <grad f, X> of the whole truncated jet (X_m = 0 below m = i) are
+    computed with curl/div/dot/scale_mul, using full (unhalved) gradients,
+    at the degrees fixed by X_i .. X_{i+d}.
     """
     hi = i + d
     jet = {m: fields.get(m, PolynomialVectorField.zero(m)) for m in range(i, hi + 1)}
     factor = dict(f.components)
     if f.constant:
         factor[0] = HomogeneousPolynomial(0, {(0, 0, 0): f.constant})
-    if 3 in factor:
-        factor[3] = factor[3] * f3_scale
     for m in range(i, hi + 1):
         if not div(jet[m]).is_zero():
             return False
@@ -250,31 +232,20 @@ def check_window_solution(
 
 
 def window_kernel(
-    f: TruncatedFactor,
-    i: int,
-    d: int,
-    *,
-    f3_scale: Fraction = Fraction(1),
-    degree_cap: int = DEGREE_CAP,
+    f: TruncatedFactor, i: int, d: int, *, degree_cap: int = DEGREE_CAP
 ) -> tuple[KernelBasis, int]:
     """Kernel of the window system and its projection dimension on X_i."""
-    system = assemble_window(f, i, d, f3_scale=f3_scale, degree_cap=degree_cap)
+    system = assemble_window(f, i, d, degree_cap=degree_cap)
     basis = kernel_basis(system.matrix)
     for vector in basis.vectors:
         fields = fields_from_vector(vector, basis.col_labels)
-        if not check_window_solution(f, i, d, fields, f3_scale=f3_scale):
+        if not check_window_solution(f, i, d, fields):
             raise AssertionError("window kernel vector fails substitution check")
     return basis, block_projection_dim(basis, i)
 
 
 def forced_source_feasible(
-    f: TruncatedFactor,
-    i: int,
-    d: int,
-    x_i: PolynomialVectorField,
-    *,
-    f3_scale: Fraction = Fraction(1),
-    degree_cap: int = DEGREE_CAP,
+    f: TruncatedFactor, i: int, d: int, x_i: PolynomialVectorField
 ) -> bool:
     """Feasibility of the window with X_i pinned to a given field.
 
@@ -283,8 +254,7 @@ def forced_source_feasible(
     """
     if x_i.degree != i:
         raise ValueError("pinned field degree must equal the window base degree")
-    system = assemble_window(f, i, d, f3_scale=f3_scale, degree_cap=degree_cap)
-    matrix = system.matrix
+    matrix = assemble_window(f, i, d).matrix
     pinned = field_to_coefficients(x_i)
     keep = [pos for pos, label in enumerate(matrix.col_labels) if label.term_degree != i]
     keep_index = {old: new for new, old in enumerate(keep)}
@@ -358,7 +328,6 @@ def analyze(
     depth_f0_zero: int = 3,
     depth_f0_nonzero: int = 1,
     *,
-    f3_scale: Fraction = Fraction(1),
     degree_cap: int = DEGREE_CAP,
 ) -> CascadeReport:
     """Classify the spectrum, solve every risky window, and report a verdict.
@@ -371,9 +340,7 @@ def analyze(
     depth = depth_f0_zero if f.constant == 0 else depth_f0_nonzero
     results = []
     for i in sorted(classification.risky_degrees):
-        basis, projection = window_kernel(
-            f, i, depth, f3_scale=f3_scale, degree_cap=degree_cap
-        )
+        basis, projection = window_kernel(f, i, depth, degree_cap=degree_cap)
         results.append(
             RiskyWindowResult(
                 degree=i,

@@ -58,6 +58,19 @@ def _unique_keys(pairs: list) -> dict:
     return dict(pairs)
 
 
+# what reading, parsing and loading a malformed input file can raise; json
+# raises RecursionError on deeply nested arrays or objects
+BAD_INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError, RecursionError)
+
+
+def _load_json_file(path: str, loader, what: str):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+        return loader(json.loads(text, object_pairs_hook=_unique_keys))
+    except BAD_INPUT_ERRORS as exc:
+        raise _InputError(f"bad {what}: {exc}") from exc
+
+
 def _run_report(command: str, inputs: dict, results: dict) -> dict:
     return {
         "command": command,
@@ -127,25 +140,19 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_cascade(args) -> int:
-    try:
-        text = Path(args.factor).read_text(encoding="utf-8")
-        factor = TruncatedFactor.from_json(json.loads(text, object_pairs_hook=_unique_keys))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _InputError(f"bad factor file: {exc}") from exc
-    eps = None
+    factor = _load_json_file(args.factor, TruncatedFactor.from_json, "factor file")
+    analyzed, eps = factor, None
     if args.eps is not None:
         try:
             eps = parse_rational(args.eps)
+            analyzed = factor.with_cubic_scaled(eps)
         except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-        if 3 not in factor.components:
-            raise _InputError("--eps requires a degree-3 factor component")
+            raise _InputError(f"--eps: {exc}") from exc
     try:
         report_obj = analyze(
-            factor,
+            analyzed,
             depth_f0_zero=args.depth_zero,
             depth_f0_nonzero=args.depth_nonzero,
-            f3_scale=eps if eps is not None else Fraction(1),
             degree_cap=args.cap,
         )
     except ValueError as exc:
@@ -212,11 +219,7 @@ def _cmd_verify_bessel(args) -> int:
 def _cmd_verify_suite(args) -> int:
     config = SuiteConfig()
     if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-            config = SuiteConfig.from_json(json.loads(text, object_pairs_hook=_unique_keys))
-        except (OSError, ValueError, TypeError) as exc:
-            raise _InputError(f"bad suite config: {exc}") from exc
+        config = _load_json_file(args.config, SuiteConfig.from_json, "suite config")
     results = run_suite(config)
     all_passed = all(r.passed for r in results)
     report = _run_report(
@@ -259,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", required=True, help="factor JSON file")
     p.add_argument("--depth-zero", type=int, default=3, help="window depth when f0 = 0")
     p.add_argument("--depth-nonzero", type=int, default=1, help="window depth when f0 != 0")
-    p.add_argument("--eps", help="scale degree-3 coupling rows by this rational")
+    p.add_argument("--eps", help="analyze f0 + f2 + eps*f3 + f4 + ... for this rational eps")
     p.add_argument("--report", metavar="PATH", help="write the JSON report to PATH")
     p.add_argument("--cap", type=int, default=DEGREE_CAP)
     p.set_defaults(handler=_cmd_cascade)

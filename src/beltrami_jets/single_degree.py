@@ -22,7 +22,6 @@ from ._assembly import ColumnSpace, curl_rows, div_rows, first_integral_rows
 from .linalg import ConstraintMatrix, KernelBasis, coerce_rational, kernel_basis
 from .polynomials import (
     HomogeneousPolynomial,
-    PolynomialVectorField,
     div,
     dot,
     curl,
@@ -60,15 +59,6 @@ class SigmaTriple:
         """f2 = s1*x^2 + s2*y^2 + s3*z^2."""
         return HomogeneousPolynomial(
             2, {(2, 0, 0): self.s1, (0, 2, 0): self.s2, (0, 0, 2): self.s3}
-        )
-
-    def radial_field(self) -> PolynomialVectorField:
-        """(s1*x, s2*y, s3*z) = grad(quadric)/2, the stored first-integral row form."""
-        return PolynomialVectorField(
-            1,
-            HomogeneousPolynomial(1, {(1, 0, 0): self.s1}),
-            HomogeneousPolynomial(1, {(0, 1, 0): self.s2}),
-            HomogeneousPolynomial(1, {(0, 0, 1): self.s3}),
         )
 
     def scaled(self, c) -> "SigmaTriple":
@@ -143,7 +133,7 @@ def assemble_single(i: int, s: SigmaTriple) -> ConstraintMatrix:
     rows = []
     rows.extend(curl_rows(i, [], cs))
     rows.extend(div_rows(i, cs))
-    rows.extend(first_integral_rows(i + 1, [(s.radial_field(), i, Fraction(1))], cs))
+    rows.extend(first_integral_rows(i + 1, [(grad(s.quadric()) * Fraction(1, 2), i)], cs))
     return ConstraintMatrix.from_rows(cs.labels, rows)
 
 

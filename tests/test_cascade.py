@@ -16,7 +16,6 @@ from beltrami_jets import (
     VERDICT_TRIVIAL,
     analyze,
     assemble_window,
-    epsilon_window,
     kernel_single,
     window_kernel,
 )
@@ -336,20 +335,21 @@ def test_forced_source_probe():
 def test_epsilon_zero_equals_cubic_free_window():
     factor = _counterexample_factor()
     stripped = TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -1))
-    assert epsilon_window(factor, 1, 1, 0).matrix == assemble_window(stripped, 1, 1).matrix
-    assert epsilon_window(factor, 1, 1, 1).matrix == assemble_window(factor, 1, 1).matrix
+    scaled = factor.with_cubic_scaled
+    assert assemble_window(scaled(0), 1, 1).matrix == assemble_window(stripped, 1, 1).matrix
+    assert assemble_window(scaled(1), 1, 1).matrix == assemble_window(factor, 1, 1).matrix
 
 
 def test_epsilon_requires_cubic_component():
     with pytest.raises(ValueError):
-        epsilon_window(TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -1)), 1, 1, Fraction(1, 2))
+        TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -1)).with_cubic_scaled(Fraction(1, 2))
 
 
 def test_epsilon_sweep_projection_dimensions():
     factor = _counterexample_factor()
     dims = []
     for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100), Fraction(0)):
-        _, projection = window_kernel(factor, 1, 1, f3_scale=eps)
+        _, projection = window_kernel(factor.with_cubic_scaled(eps), 1, 1)
         dims.append(projection)
     assert dims == [1, 0, 0, 0]
 

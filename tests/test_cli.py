@@ -144,12 +144,13 @@ def _factor_text(f0='"1"', key="3", degree="3", k="[1, 1, 1]", c='"2"'):
         (_factor_text().replace('"f0"', '"f_0"'), 2),
         ("[]", 2),
         ('{"components": []}', 2),
+        ("[" * 200000, 2),
     ],
     ids=[
         "as_documented", "float_exponent", "bool_exponent", "float_coefficient",
         "int_coefficient", "float_f0", "zero_padded_key", "space_padded_key",
         "string_degree", "duplicate_key", "unknown_key", "factor_not_object",
-        "components_not_object",
+        "components_not_object", "nested_too_deeply",
     ],
 )
 def test_cascade_factor_file_boundary(tmp_path, capsys, text, code):
@@ -192,6 +193,19 @@ def test_cascade_eps_requires_cubic(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["eps"] == "1/10"
     assert report["results"]["verdict"] == "TrivialOnly"
+
+
+@pytest.mark.parametrize("eps_args", [["--eps", "1/10"], ["--eps", "0"], ["--eps=-3/2"]])
+def test_cascade_eps_analyzes_the_factor_with_scaled_cubic(tmp_path, capsys, eps_args):
+    eps = eps_args[-1].removeprefix("--eps=")
+    cubic = P(3, {(1, 1, 1): 2 * Fraction(eps)})
+    scaled = TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -1), {3: cubic})
+    code = main(["cascade", "--factor", _write_factor(tmp_path / "f.json", _counterexample()),
+                 "--json", *eps_args])
+    with_eps = json.loads(capsys.readouterr().out)["results"]
+    assert with_eps.pop("eps") == eps
+    assert main(["cascade", "--factor", _write_factor(tmp_path / "g.json", scaled), "--json"]) == code
+    assert json.loads(capsys.readouterr().out)["results"] == with_eps
 
 
 def test_verify_harmonic(capsys):
@@ -258,6 +272,18 @@ def test_suite_runs_with_small_config(tmp_path, capsys):
         {"traceless_sigmas": []},
         {"window_zero_range": []},
         {"window_nonzero_range": []},
+        {"resonance_table": [[3.7, "1,1,-3"]]},
+        {"resonance_table": [[True, "1,1,-3"]]},
+        {"resonance_table": [[3, 5]]},
+        {"resonance_table": [[3, "1,1,-3", 4]]},
+        {"resonance_table": [3]},
+        {"window_zero_range": [True]},
+        {"window_nonzero_range": [4.0]},
+        {"seed": True},
+        {"seed": 1.5},
+        {"pair_sigmas": [1]},
+        {"pair_sigmas": "1,-1,1"},
+        {"traceless_sigmas": [None]},
     ],
     ids=lambda override: next(iter(override)) + "=" + json.dumps(next(iter(override.values()))),
 )
@@ -270,11 +296,60 @@ def test_suite_config_that_would_pass_vacuously_exits_2(tmp_path, capsys, overri
         SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in override.items()})
 
 
+def test_crashed_checks_keep_their_names():
+    class Unreadable:
+        def __getattr__(self, name):
+            raise RuntimeError("unreadable config")
+
+    results = run_suite(Unreadable())
+    # the names verify-paper-suite publishes, in order
+    assert [r.name for r in results] == [
+        "reference_rows_degree_one", "reference_rows_degree_two", "planar_harmonics_basis",
+        "lifted_fields_span_resonant_kernels", "same_sign_spectra_trivial",
+        "mixed_unflagged_spectra_trivial", "derived_kernel_dimensions", "resonance_relation_search",
+        "coupled_window_zero_constant", "coupled_window_nonzero_constant",
+        "pinned_leading_term_infeasible", "counterexample_window_reproduced",
+        "epsilon_scaling_reductions", "axisymmetric_series_verified", "quartic_tail_cascade_trivial",
+    ]
+    crashed = [r.name for r in results if r.detail == "error: unreadable config"]
+    assert crashed == [
+        "lifted_fields_span_resonant_kernels", "same_sign_spectra_trivial",
+        "mixed_unflagged_spectra_trivial", "coupled_window_zero_constant",
+        "coupled_window_nonzero_constant", "axisymmetric_series_verified",
+    ]
+    assert all(r.passed for r in results if r.name not in crashed)
+
+
+def test_degenerate_sigma_string_is_a_named_failure(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    config = {
+        "pair_sigmas": ["1,0,1"],
+        "same_sign_samples": 2,
+        "mixed_samples": 2,
+        "sample_max_degree": 3,
+        "window_zero_range": [3],
+        "window_nonzero_range": [3],
+        "series_order": 8,
+    }
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["verify-paper-suite", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL coupled_window_nonzero_constant: error: degenerate Hessian" in out
+    assert sum(line.startswith("FAIL") for line in out.splitlines()) == 1
+
+
 def test_suite_config_with_duplicate_key_exits_2(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text('{"same_sign_samples": 2, "same_sign_samples": 3}', encoding="utf-8")
     assert main(["verify-paper-suite", "--config", str(path)]) == 2
     assert "duplicate key" in capsys.readouterr().err
+
+
+def test_suite_config_nested_too_deeply_exits_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 200000, encoding="utf-8")
+    assert main(["verify-paper-suite", "--config", str(path)]) == 2
+    assert "bad suite config" in capsys.readouterr().err
 
 
 def test_suite_fault_injection_names_the_failure(tmp_path, capsys):

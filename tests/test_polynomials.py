@@ -94,7 +94,7 @@ def test_div_of_curls_vanishes():
         assert div(curl(w)).is_zero()
 
 
-def test_div_of_radial_field():
+def test_div_of_position_field():
     v = _field(1, {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
     assert div(v) == P(0, {(0, 0, 0): 3})
 
