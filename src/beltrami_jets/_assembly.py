@@ -12,12 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .linalg import ConstraintMatrix
 from .polynomials import (
     AXES,
     CoefficientIndex,
     HomogeneousPolynomial,
     Monomial,
-    PolynomialVectorField,
     coefficient_indices,
     monomials_of_degree,
 )
@@ -25,10 +25,10 @@ from .polynomials import (
 RowLabel = tuple[str, Monomial]
 Row = tuple[RowLabel, dict[int, Fraction]]
 
-# coupling: (known polynomial or field, degree of the unknown block it multiplies);
-# curl rows subtract their couplings, first-integral rows add theirs
-PolyCoupling = tuple[HomogeneousPolynomial, int]
-FieldCoupling = tuple[PolynomialVectorField, int]
+_UNITS: tuple[Monomial, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# coupling: (factor component, degree of the unknown block it multiplies)
+Coupling = tuple[HomogeneousPolynomial, int]
 
 
 @dataclass(frozen=True)
@@ -71,20 +71,19 @@ def _coupling_entries(
     row: dict[int, Fraction],
     cs: ColumnSpace,
     mu: Monomial,
-    poly: HomogeneousPolynomial,
+    coeffs: dict[Monomial, Fraction],
     axis: str,
     src_degree: int,
-    subtract: bool,
 ) -> None:
-    """Entries of coefficient(mu) in poly * X_src^axis, added or subtracted."""
-    for nu, c in poly.coeffs.items():
+    """Entries of coefficient(mu) in g * X_src^axis, g given by its coeffs."""
+    for nu, c in coeffs.items():
         target = _sub(mu, nu)
         if target is not None:
-            _add_entry(row, cs, CoefficientIndex(axis, target, src_degree), -c if subtract else c)
+            _add_entry(row, cs, CoefficientIndex(axis, target, src_degree), c)
 
 
 def curl_rows(
-    m_degree: int, couplings: Sequence[PolyCoupling], cs: ColumnSpace
+    m_degree: int, couplings: Sequence[Coupling], cs: ColumnSpace
 ) -> list[Row]:
     """Rows of curl(X_m) - sum(f * X_src) = 0, matched at degree m-1.
 
@@ -94,6 +93,7 @@ def curl_rows(
     if m_degree < 1:
         return []
     monos = monomials_of_degree(m_degree - 1)
+    negated = [({nu: -c for nu, c in poly.coeffs.items()}, src) for poly, src in couplings]
     # curl components as (positive axis, shift axis index, negative axis, shift axis index)
     parts = (
         ("curl_x", "z", 1, "y", 2),
@@ -119,8 +119,8 @@ def curl_rows(
                 CoefficientIndex(minus_axis, tuple(up), m_degree),
                 Fraction(-(mu[minus_idx] + 1)),
             )
-            for poly, src in couplings:
-                _coupling_entries(row, cs, mu, poly, comp, src, subtract=True)
+            for coeffs, src in negated:
+                _coupling_entries(row, cs, mu, coeffs, comp, src)
             if row:
                 rows.append(((f"{tag}@{m_degree}", mu), row))
     return rows
@@ -147,19 +147,56 @@ def div_rows(m_degree: int, cs: ColumnSpace) -> list[Row]:
 
 
 def first_integral_rows(
-    t_degree: int, couplings: Sequence[FieldCoupling], cs: ColumnSpace
+    t_degree: int, couplings: Sequence[Coupling], cs: ColumnSpace
 ) -> list[Row]:
-    """Rows of sum(<G, X_src>) = 0 matched at degree t.
+    """Rows of sum(<grad(f_j)/2, X_src>) = 0 matched at degree t.
 
-    G is the halved gradient field of a factor component, so the stored
-    rows carry sigma-coefficients rather than 2*sigma.
+    The halved gradient is taken by exponent arithmetic, so the stored rows
+    carry sigma-coefficients rather than 2*sigma.
     """
+    halved = [
+        (axis, src, {
+            _sub(nu, unit): c * nu[k] / 2 for nu, c in poly.coeffs.items() if nu[k]
+        })
+        for poly, src in couplings
+        for k, (axis, unit) in enumerate(zip(AXES, _UNITS))
+    ]
     rows: list[Row] = []
     for mu in monomials_of_degree(t_degree):
         row: dict[int, Fraction] = {}
-        for field, src in couplings:
-            for axis in AXES:
-                _coupling_entries(row, cs, mu, field.component(axis), axis, src, subtract=False)
+        for axis, src, coeffs in halved:
+            _coupling_entries(row, cs, mu, coeffs, axis, src)
         if row:
             rows.append(((f"fi@{t_degree}", mu), row))
     return rows
+
+
+def graded_system(
+    constant: Fraction, components: dict[int, HomogeneousPolynomial], lo: int, hi: int
+) -> ConstraintMatrix:
+    """The degree-matched system of f = constant + sum(components) on X_lo .. X_hi.
+
+    The one inclusion rule for windows and single-degree systems (lo = hi):
+    with X_m = 0 below lo, an equation enters only if every unknown it
+    references lies in [lo, hi]:
+
+        curl(X_m) = sum_j f_j X_{m-1-j}     for m in [lo, hi]
+        div(X_m)  = 0                       for m in [lo, hi]
+        sum_j <grad f_j, X_{t+1-j}> = 0     for t in [lo+jmin-1, hi+jmin-1]
+
+    with jmin the lowest nonconstant component degree; terms below lo drop.
+    """
+    factor = sorted(components.items())
+    if constant != 0:
+        factor.insert(0, (0, HomogeneousPolynomial(0, {(0, 0, 0): constant})))
+    cs = ColumnSpace.for_degrees(range(lo, hi + 1))
+    rows: list[Row] = []
+    for m in range(lo, hi + 1):
+        rows.extend(curl_rows(m, [(g, m - 1 - j) for j, g in factor if m - 1 - j >= lo], cs))
+        rows.extend(div_rows(m, cs))
+    if components:
+        jmin = min(components)
+        for t in range(lo + jmin - 1, hi + jmin):
+            couplings = [(g, t + 1 - j) for j, g in factor if j and lo <= t + 1 - j <= hi]
+            rows.extend(first_integral_rows(t, couplings, cs))
+    return ConstraintMatrix.from_rows(cs.labels, rows)

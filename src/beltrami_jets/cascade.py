@@ -1,20 +1,13 @@
 """Coupled multi-degree ("window") systems and the cascade analyzer.
 
 Substituting the graded expansions X = X_i + X_{i+1} + ... (with X_j = 0
-below the base degree i) and f = f0 + f2 + ... + fD into
-
-    curl(X) = f X,   div(X) = 0,   <grad f, X> = 0
-
-and matching degrees yields, for a window [i, i+d], the system
-
-    curl(X_m) = sum_j f_j X_{m-1-j}      for m in [i, i+d]
-    div(X_m)  = 0                        for m in [i, i+d]
-    sum_j <grad f_j, X_{t+1-j}> = 0      for matched degrees t
-
-An equation enters the window only if every unknown it references lies in
-[i, i+d]; equations referencing higher-degree terms are deferred entirely,
-never truncated.  The kernel's projection onto the X_i block measures
-whether a nontrivial leading term survives the extra constraints.
+below the base degree i) and f = f0 + f2 + ... + fD into curl(X) = f X,
+div(X) = 0 and <grad f, X> = 0 and matching degrees yields, for a window
+[i, i+d], the system `_assembly.graded_system` assembles: an equation
+enters only if every unknown it references lies in [i, i+d], and
+equations referencing higher-degree terms are deferred entirely, never
+truncated.  The kernel's projection onto the X_i block measures whether a
+nontrivial leading term survives the extra constraints.
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._assembly import ColumnSpace, curl_rows, div_rows, first_integral_rows
+from ._assembly import graded_system
 from .linalg import (
     ConstraintMatrix,
     KernelBasis,
@@ -37,16 +30,12 @@ from .polynomials import (
     CoefficientIndex,
     HomogeneousPolynomial,
     PolynomialVectorField,
-    curl,
-    div,
-    dot,
     field_to_coefficients,
     field_to_json,
     fields_from_vector,
-    grad,
+    jet_residuals_vanish,
     poly_from_json,
     poly_to_json,
-    scale_mul,
 )
 from .single_degree import SigmaTriple, SpectrumClassification, classify_spectrum
 
@@ -140,44 +129,15 @@ class WindowSystem:
     matrix: ConstraintMatrix
 
 
-def _couplings_for_curl(
-    f: TruncatedFactor, m: int, lo: int
-) -> list[tuple[HomogeneousPolynomial, int]]:
-    out = []
-    if f.constant != 0 and m - 1 >= lo:
-        out.append((HomogeneousPolynomial(0, {(0, 0, 0): f.constant}), m - 1))
-    for j, poly in sorted(f.components.items()):
-        src = m - 1 - j
-        if src >= lo:
-            out.append((poly, src))
-    return out
-
-
 def assemble_window(
     f: TruncatedFactor, i: int, d: int, *, degree_cap: int = DEGREE_CAP
 ) -> WindowSystem:
     """Assemble the window system for unknowns X_i .. X_{i+d}."""
     if i < 1 or d < 0:
         raise ValueError("window requires i >= 1 and d >= 0")
-    hi = i + d
-    if hi > degree_cap:
-        raise ValueError(f"window top degree {hi} exceeds cap {degree_cap}")
-    cs = ColumnSpace.for_degrees(range(i, hi + 1))
-    rows = []
-    for m in range(i, hi + 1):
-        rows.extend(curl_rows(m, _couplings_for_curl(f, m, i), cs))
-        rows.extend(div_rows(m, cs))
-    present = sorted(f.components)
-    if present:
-        jmin = present[0]
-        for t in range(i + jmin - 1, hi + jmin):
-            couplings = [
-                (grad(f.components[j]) * Fraction(1, 2), t + 1 - j)
-                for j in present
-                if i <= t + 1 - j <= hi
-            ]
-            rows.extend(first_integral_rows(t, couplings, cs))
-    matrix = ConstraintMatrix.from_rows(cs.labels, rows)
+    if i + d > degree_cap:
+        raise ValueError(f"window top degree {i + d} exceeds cap {degree_cap}")
+    matrix = graded_system(f.constant, f.components, i, i + d)
     return WindowSystem(base_degree=i, depth=d, matrix=matrix)
 
 
@@ -199,36 +159,14 @@ def check_window_solution(
 ) -> bool:
     """Verify a candidate jet against every equation the window determines.
 
-    Independent of the matrix path: the residuals curl X - f X, div X and
-    <grad f, X> of the whole truncated jet (X_m = 0 below m = i) are
-    computed with curl/div/dot/scale_mul, using full (unhalved) gradients,
-    at the degrees fixed by X_i .. X_{i+d}.
+    Independent of the matrix path: the residuals of the whole truncated
+    jet (missing blocks zero) are recomputed with the polynomial operators.
     """
-    hi = i + d
-    jet = {m: fields.get(m, PolynomialVectorField.zero(m)) for m in range(i, hi + 1)}
+    jet = {m: fields.get(m, PolynomialVectorField.zero(m)) for m in range(i, i + d + 1)}
     factor = dict(f.components)
     if f.constant:
         factor[0] = HomogeneousPolynomial(0, {(0, 0, 0): f.constant})
-    for m in range(i, hi + 1):
-        if not div(jet[m]).is_zero():
-            return False
-        residual = curl(jet[m])
-        for j, poly in factor.items():
-            if m - 1 - j in jet:
-                residual = residual - scale_mul(poly, jet[m - 1 - j])
-        if not residual.is_zero():
-            return False
-    gradients = {j: grad(poly) for j, poly in factor.items() if j > 0}
-    if gradients:
-        jmin = min(gradients)
-        for t in range(i + jmin - 1, hi + jmin):
-            total = HomogeneousPolynomial.zero(t)
-            for j, gradient in gradients.items():
-                if t + 1 - j in jet:
-                    total = total + dot(gradient, jet[t + 1 - j])
-            if not total.is_zero():
-                return False
-    return True
+    return jet_residuals_vanish(factor, jet)
 
 
 def window_kernel(
@@ -258,20 +196,22 @@ def forced_source_feasible(
     pinned = field_to_coefficients(x_i)
     keep = [pos for pos, label in enumerate(matrix.col_labels) if label.term_degree != i]
     keep_index = {old: new for new, old in enumerate(keep)}
-    rhs = [Fraction(0)] * matrix.rows
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (r, c), v in matrix.entries.items():
-        label = matrix.col_labels[c]
-        if label.term_degree == i:
-            rhs[r] -= v * pinned.get(label, Fraction(0))
-        else:
-            entries[(r, keep_index[c])] = v
+    rhs = []
+    kept_rows = []
+    for row in matrix.row_dicts():
+        b = Fraction(0)
+        kept = {}
+        for c, v in row.items():
+            if c in keep_index:
+                kept[keep_index[c]] = v
+            else:
+                b -= v * pinned.get(matrix.col_labels[c], Fraction(0))
+        rhs.append(b)
+        kept_rows.append(kept)
     reduced = ConstraintMatrix(
-        rows=matrix.rows,
-        cols=len(keep),
-        entries=entries,
         col_labels=tuple(matrix.col_labels[c] for c in keep),
         row_labels=matrix.row_labels,
+        row_entries=tuple(kept_rows),
     )
     return is_consistent(reduced, rhs)
 

@@ -47,7 +47,7 @@ class _InputError(Exception):
 def _parse_sigma(text: str) -> SigmaTriple:
     try:
         return SigmaTriple.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _InputError(str(exc)) from exc
 
 

@@ -10,6 +10,7 @@ label, so ranks and kernel bases are reproducible across runs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -28,38 +29,52 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    if not isinstance(text, str):
-        raise ValueError(f"not a rational string: {text!r}")
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational number: {text!r}") from exc
+    """Parse ASCII "p" or "p/q" (surrounding whitespace allowed), rejecting the
+    decimals, exponents, underscores and non-ASCII digits `Fraction` takes."""
+    if isinstance(text, str) and _RATIONAL.fullmatch(text.strip()):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, or too many digits
+            pass
+    raise ValueError(f"not a rational number: {text!r}")
 
 
 @dataclass(frozen=True)
 class ConstraintMatrix:
     """Sparse exact matrix with labeled rows and columns.
 
-    Only nonzero entries are stored, keyed by (row, col) position.  Row
-    labels identify (equation tag, monomial); column labels identify the
-    unknown coefficient each column stands for.
+    Each row is a {column position: nonzero Fraction} dict, stored as built.
+    Row labels identify (equation tag, monomial); column labels identify the
+    unknown coefficient each column stands for.  The dimensions are the
+    lengths of the label tuples.
     """
 
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], Fraction]
     col_labels: tuple[Hashable, ...]
     row_labels: tuple[Hashable, ...]
+    row_entries: tuple[dict[int, Fraction], ...]
 
     def __post_init__(self):
-        if len(self.col_labels) != self.cols or len(self.row_labels) != self.rows:
-            raise ValueError("label lists must match matrix dimensions")
-        for (r, c), v in self.entries.items():
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
-                raise ValueError(f"entry position {(r, c)} out of range")
-            if v == 0:
-                raise ValueError(f"zero entry stored at {(r, c)}")
+        if len(self.row_entries) != len(self.row_labels):
+            raise ValueError("one row label per row required")
+        cols = len(self.col_labels)
+        for r, row in enumerate(self.row_entries):
+            for c, v in row.items():
+                if not (isinstance(v, Fraction) and v != 0):
+                    raise ValueError(f"entry at {(r, c)} is not a nonzero Fraction: {v!r}")
+                if not 0 <= c < cols:
+                    raise ValueError(f"entry position {(r, c)} out of range")
+
+    @property
+    def rows(self) -> int:
+        return len(self.row_labels)
+
+    @property
+    def cols(self) -> int:
+        return len(self.col_labels)
 
     @classmethod
     def from_rows(
@@ -67,44 +82,32 @@ class ConstraintMatrix:
         col_labels: Sequence[Hashable],
         labeled_rows: Iterable[tuple[Hashable, dict[int, Fraction]]],
     ) -> "ConstraintMatrix":
-        """Build from (row_label, {col_position: value}) pairs."""
-        row_labels = []
-        entries: dict[tuple[int, int], Fraction] = {}
-        for r, (label, row) in enumerate(labeled_rows):
-            row_labels.append(label)
-            for c, v in row.items():
-                v = coerce_rational(v)
-                if v != 0:
-                    entries[(r, c)] = v
+        """Build from (row_label, {col_position: nonzero Fraction}) pairs."""
+        labeled = list(labeled_rows)
         return cls(
-            rows=len(row_labels),
-            cols=len(col_labels),
-            entries=entries,
             col_labels=tuple(col_labels),
-            row_labels=tuple(row_labels),
+            row_labels=tuple(label for label, _ in labeled),
+            row_entries=tuple(row for _, row in labeled),
         )
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
+    def row_dicts(self) -> tuple[dict[int, Fraction], ...]:
+        """The stored rows, in order (not copies)."""
+        return self.row_entries
 
     def labeled_rows(self) -> list[tuple[Hashable, dict[Hashable, Fraction]]]:
         """Rows with entries re-keyed by column label (for golden comparisons)."""
-        rows = self.row_dicts()
         return [
             (label, {self.col_labels[c]: v for c, v in row.items()})
-            for label, row in zip(self.row_labels, rows)
+            for label, row in zip(self.row_labels, self.row_entries)
         ]
 
     def multiply(self, vector: Sequence[Fraction]) -> list[Fraction]:
         if len(vector) != self.cols:
             raise ValueError("vector length does not match column count")
-        out = [Fraction(0)] * self.rows
-        for (r, c), v in self.entries.items():
-            out[r] += v * vector[c]
-        return out
+        return [
+            sum((v * vector[c] for c, v in row.items()), Fraction(0))
+            for row in self.row_entries
+        ]
 
 
 @dataclass(frozen=True)
@@ -238,12 +241,13 @@ def is_consistent(m: ConstraintMatrix, rhs: Sequence[Fraction]) -> bool:
     return b_col not in _echelon(_integer_rows(augmented))
 
 
+def _dense_grid(m: ConstraintMatrix) -> list[list[Fraction]]:
+    return [[row.get(c, Fraction(0)) for c in range(m.cols)] for row in m.row_entries]
+
+
 def rank_dense(m: ConstraintMatrix) -> int:
     """Independent oracle: dense Gaussian elimination over Fraction."""
-    grid = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        grid[r][c] = v
-    return _dense_rref(grid)[0]
+    return _dense_rref(_dense_grid(m))[0]
 
 
 def kernel_dimension_dense(m: ConstraintMatrix) -> int:
@@ -252,9 +256,7 @@ def kernel_dimension_dense(m: ConstraintMatrix) -> int:
 
 def kernel_basis_dense(m: ConstraintMatrix) -> list[tuple[Fraction, ...]]:
     """Independent oracle kernel: dense RREF back-substitution over Fraction."""
-    grid = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-    for (r, c), v in m.entries.items():
-        grid[r][c] = v
+    grid = _dense_grid(m)
     nrank, pivot_cols = _dense_rref(grid)
     free_cols = [c for c in range(m.cols) if c not in pivot_cols]
     basis = []

@@ -231,6 +231,38 @@ def scale_mul(g: HomogeneousPolynomial, v: PolynomialVectorField) -> PolynomialV
     return PolynomialVectorField(g.degree + v.degree, g * v.x, g * v.y, g * v.z)
 
 
+def jet_residuals_vanish(
+    factor: dict[int, HomogeneousPolynomial], jet: dict[int, PolynomialVectorField]
+) -> bool:
+    """Whether the jet X_lo .. X_hi (consecutive degrees, zero below lo)
+    satisfies every equation it fixes for f = sum of factor[j] (f0 at j = 0).
+
+    The residuals of the equations `_assembly.graded_system` builds rows
+    for are computed with the operators above and full gradients.
+    """
+    lo, hi = min(jet), max(jet)
+    for m in range(lo, hi + 1):
+        if not div(jet[m]).is_zero():
+            return False
+        residual = curl(jet[m])
+        for j, poly in factor.items():
+            if m - 1 - j in jet:
+                residual = residual - scale_mul(poly, jet[m - 1 - j])
+        if not residual.is_zero():
+            return False
+    gradients = {j: grad(poly) for j, poly in factor.items() if j > 0}
+    if gradients:
+        jmin = min(gradients)
+        for t in range(lo + jmin - 1, hi + jmin):
+            total = HomogeneousPolynomial.zero(t)
+            for j, gradient in gradients.items():
+                if t + 1 - j in jet:
+                    total = total + dot(gradient, jet[t + 1 - j])
+            if not total.is_zero():
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Coefficient indexing: the unknowns of the graded linear systems.
 # ---------------------------------------------------------------------------
@@ -326,7 +358,9 @@ def poly_from_json(data: dict) -> HomogeneousPolynomial:
     coeffs: dict[Monomial, Fraction] = {}
     for term in data.get("terms", []):
         k = tuple(_json_int(e) for e in term["k"])
-        coeffs[k] = coeffs.get(k, Fraction(0)) + parse_rational(term["c"])
+        if k in coeffs:
+            raise ValueError(f"monomial {list(k)} repeated in terms")
+        coeffs[k] = parse_rational(term["c"])
     return HomogeneousPolynomial(degree, coeffs)
 
 

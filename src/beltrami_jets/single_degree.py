@@ -18,16 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from ._assembly import ColumnSpace, curl_rows, div_rows, first_integral_rows
-from .linalg import ConstraintMatrix, KernelBasis, coerce_rational, kernel_basis
-from .polynomials import (
-    HomogeneousPolynomial,
-    div,
-    dot,
-    curl,
-    fields_from_vector,
-    grad,
-)
+from ._assembly import graded_system
+from .linalg import ConstraintMatrix, KernelBasis, coerce_rational, kernel_basis, parse_rational
+from .polynomials import HomogeneousPolynomial, fields_from_vector, jet_residuals_vanish
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class SigmaTriple:
         parts = text.split(",")
         if len(parts) != 3:
             raise ValueError(f"expected three comma-separated rationals, got {text!r}")
-        return cls(*(Fraction(p.strip()) for p in parts))
+        return cls(*(parse_rational(p) for p in parts))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
         return (self.s1, self.s2, self.s3)
@@ -120,7 +113,7 @@ def classify_spectrum(s: SigmaTriple) -> SpectrumClassification:
 
 
 def assemble_single(i: int, s: SigmaTriple) -> ConstraintMatrix:
-    """The degree-i obstruction system as a labeled constraint matrix.
+    """The degree-i obstruction system: the depth-0 window of f = f2 at i.
 
     Row order: curl_x, curl_y, curl_z, div (degree i-1 monomials), then the
     first-integral rows (degree i+1 monomials), each block in descending
@@ -129,25 +122,15 @@ def assemble_single(i: int, s: SigmaTriple) -> ConstraintMatrix:
     """
     if i < 0:
         raise ValueError("degree must be nonnegative")
-    cs = ColumnSpace.for_degrees([i])
-    rows = []
-    rows.extend(curl_rows(i, [], cs))
-    rows.extend(div_rows(i, cs))
-    rows.extend(first_integral_rows(i + 1, [(grad(s.quadric()) * Fraction(1, 2), i)], cs))
-    return ConstraintMatrix.from_rows(cs.labels, rows)
+    return graded_system(Fraction(0), {2: s.quadric()}, i, i)
 
 
 def kernel_single(i: int, s: SigmaTriple) -> KernelBasis:
     """Exact kernel of the degree-i system, substitution-checked."""
     basis = kernel_basis(assemble_single(i, s))
-    gradient = grad(s.quadric())
+    factor = {2: s.quadric()}
     for vector in basis.vectors:
-        field = fields_from_vector(vector, basis.col_labels)[i]
-        if not (
-            curl(field).is_zero()
-            and div(field).is_zero()
-            and dot(gradient, field).is_zero()
-        ):
+        if not jet_residuals_vanish(factor, fields_from_vector(vector, basis.col_labels)):
             raise AssertionError("kernel field fails operator substitution check")
     return basis
 

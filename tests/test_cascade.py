@@ -19,7 +19,7 @@ from beltrami_jets import (
     kernel_single,
     window_kernel,
 )
-from beltrami_jets import cascade
+from beltrami_jets import _assembly
 from beltrami_jets.cascade import (
     block_projection_dim,
     check_window_solution,
@@ -312,9 +312,20 @@ def test_counterexample_window_kernel_is_the_displayed_pair():
 def test_guard_catches_dropped_curl_couplings(monkeypatch):
     # the guard recomputes curl X - f X itself, so a coupling-selection bug
     # in the assembler cannot hide from it
-    monkeypatch.setattr(cascade, "_couplings_for_curl", lambda *args: [])
+    curl_rows = _assembly.curl_rows
+    monkeypatch.setattr(
+        _assembly, "curl_rows", lambda m, couplings, cs: curl_rows(m, [], cs)
+    )
     with pytest.raises(AssertionError, match="substitution check"):
         window_kernel(TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -3)), 3, 1)
+
+
+def test_single_degree_guard_catches_dropped_first_integral_rows(monkeypatch):
+    # without <grad f2, X> = 0 the degree-1 kernel holds every linear
+    # gradient field, which the operator check in kernel_single rejects
+    monkeypatch.setattr(_assembly, "first_integral_rows", lambda *args: [])
+    with pytest.raises(AssertionError, match="operator substitution check"):
+        kernel_single(1, SigmaTriple(1, 1, -1))
 
 
 def test_forced_source_probe():

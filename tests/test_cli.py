@@ -47,6 +47,7 @@ def test_classify_degenerate_sigma_exits_2(capsys):
 def test_classify_unparsable_sigma_exits_2(capsys):
     assert main(["classify", "--sigma", "1,2"]) == 2
     assert main(["classify", "--sigma", "a,b,c"]) == 2
+    assert main(["classify", "--sigma", "1e3,1,1"]) == 2
 
 
 def test_kernel_resonant_dimension(capsys):
@@ -145,12 +146,16 @@ def _factor_text(f0='"1"', key="3", degree="3", k="[1, 1, 1]", c='"2"'):
         ("[]", 2),
         ('{"components": []}', 2),
         ("[" * 200000, 2),
+        (_factor_text(c='"1e3"'), 2),
+        (_factor_text(f0='"0.5"'), 2),
+        (_factor_text().replace('"c": "2"}', '"c": "2"}, {"k": [1, 1, 1], "c": "-2"}'), 2),
     ],
     ids=[
         "as_documented", "float_exponent", "bool_exponent", "float_coefficient",
         "int_coefficient", "float_f0", "zero_padded_key", "space_padded_key",
         "string_degree", "duplicate_key", "unknown_key", "factor_not_object",
-        "components_not_object", "nested_too_deeply",
+        "components_not_object", "nested_too_deeply", "exponent_coefficient",
+        "decimal_f0", "repeated_monomial",
     ],
 )
 def test_cascade_factor_file_boundary(tmp_path, capsys, text, code):
