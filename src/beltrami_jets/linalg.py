@@ -5,7 +5,10 @@ elimination core works fraction-free on integer rows (each row cleared of
 denominators and kept primitive via gcd reduction), and results are exposed
 as `fractions.Fraction` values.  Pivoting is deterministic: rows are
 processed in order and each row pivots on its smallest remaining column
-label, so ranks and kernel bases are reproducible across runs.
+label, so ranks and kernel bases are reproducible across runs.  Kernels
+start with the same elimination modulo a fixed prime, which bounds the rank
+from below: it proves a trivial kernel outright and picks the rows the
+exact elimination needs; every kernel it does not prove is checked exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Hashable, Iterable, Sequence
+
+# The fixed prime of the modular pass in `kernel_basis`.
+PRIME = 2**31 - 1
 
 
 def coerce_rational(value) -> Fraction:
@@ -196,17 +202,62 @@ def rank_of_vectors(vectors: Iterable[Sequence[Fraction]]) -> int:
     return len(_echelon(_integer_rows(rows)))
 
 
-def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
-    """Basis of {v : M v = 0}, dimension cols - rank, possibly empty.
+def _independent_rows_mod_p(rows: Sequence[dict[int, Fraction]], cols: int) -> list[int] | None:
+    """Indices of the rows that become pivots when the rows, reduced mod
+    `PRIME`, are eliminated in order on their smallest columns (as `_echelon`
+    pivots), or None when a denominator is divisible by `PRIME`.
 
-    Every returned vector is re-multiplied against the matrix as a guard;
-    a nonzero residual would be an internal error.
+    Rows independent mod `PRIME` are independent over Q, so the count is a
+    lower bound on the rank.  Elimination stops once every column has a pivot.
     """
-    pivots = _echelon(_integer_rows(m.row_dicts()))
-    free_cols = [c for c in range(m.cols) if c not in pivots]
+    p = PRIME
+    inverse: dict[int, int] = {}  # x -> x^-1 mod p, for denominators and pivot leads
+    pivots: dict[int, dict[int, int]] = {}
+    chosen: list[int] = []
+    for index, row in enumerate(rows):
+        residues: dict[int, int] = {}
+        for c, v in row.items():
+            d = v.denominator
+            if d == 1:
+                x = v.numerator % p
+            else:
+                inv = inverse.get(d)
+                if inv is None:
+                    if d % p == 0:
+                        return None
+                    inv = inverse[d] = pow(d, -1, p)
+                x = v.numerator * inv % p
+            if x:
+                residues[c] = x
+        while residues:
+            lead = min(residues)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                x = residues[lead]
+                inv = inverse.get(x)
+                if inv is None:
+                    inv = inverse[x] = pow(x, -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in residues.items()}
+                chosen.append(index)
+                break
+            factor = residues[lead]
+            for c, v in pivot.items():
+                x = (residues.get(c, 0) - factor * v) % p
+                if x:
+                    residues[c] = x
+                else:
+                    del residues[c]
+        if len(chosen) == cols:
+            break
+    return chosen
+
+
+def _back_substitute(pivots: dict[int, dict[int, int]], cols: int) -> list[tuple[Fraction, ...]]:
+    """One kernel vector per free column of an echelon form: 1 on that
+    column, 0 on the other free columns, scaled to a leading 1."""
     vectors: list[tuple[Fraction, ...]] = []
     pivot_cols_desc = sorted(pivots, reverse=True)
-    for f in free_cols:
+    for f in (c for c in range(cols) if c not in pivots):
         values: dict[int, Fraction] = {f: Fraction(1)}
         for p in pivot_cols_desc:
             if p > f:
@@ -218,21 +269,67 @@ def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
                     acc += v * values.get(c, Fraction(0))
             if acc:
                 values[p] = -acc / row[p]
-        vec = [values.get(c, Fraction(0)) for c in range(m.cols)]
+        vec = [values.get(c, Fraction(0)) for c in range(cols)]
         first = next(v for v in vec if v != 0)
         if first != 1:
             vec = [v / first for v in vec]
         vectors.append(tuple(vec))
-    for vec in vectors:
-        if any(r != 0 for r in m.multiply(vec)):
-            raise AssertionError("kernel vector fails re-multiplication check")
+    return vectors
+
+
+def _annihilates(m: ConstraintMatrix, vectors: Iterable[Sequence[Fraction]]) -> bool:
+    return all(not any(m.multiply(vec)) for vec in vectors)
+
+
+def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
+    """Basis of {v : M v = 0}, dimension cols - rank, possibly empty.
+
+    The vectors are canonical: one per free column of the echelon form, 1 on
+    it and 0 on the other free columns, scaled to a leading 1.  One of three
+    things happens:
+
+    - the rows are eliminated mod `PRIME`; when every column gets a pivot,
+      the rank over Q is cols too, and the empty basis is returned with no
+      exact elimination;
+    - otherwise only the rows that became pivots mod p are eliminated
+      exactly.  They are independent over Q, so anything but one exact pivot
+      per row raises `AssertionError`.  If every vector of that kernel also
+      annihilates the full matrix, the two kernels are equal, and so are
+      their canonical bases; that basis is returned;
+    - if a vector fails (the rank dropped mod p) or a denominator is
+      divisible by p, the full matrix is eliminated exactly, and every
+      vector is re-multiplied as a guard: a nonzero residual would be an
+      internal error.
+    """
+    rows = m.row_dicts()
+    chosen = _independent_rows_mod_p(rows, m.cols)
+    if chosen is not None:
+        if len(chosen) == m.cols:
+            return KernelBasis(vectors=(), col_labels=m.col_labels)
+        pivots = _echelon(_integer_rows(rows[r] for r in chosen))
+        if len(pivots) != len(chosen):
+            raise AssertionError(
+                f"rank mismatch: exact elimination found {len(pivots)} pivots on "
+                f"{len(chosen)} rows independent mod {PRIME}"
+            )
+        vectors = _back_substitute(pivots, m.cols)
+        if _annihilates(m, vectors):
+            return KernelBasis(vectors=tuple(vectors), col_labels=m.col_labels)
+    vectors = _back_substitute(_echelon(_integer_rows(rows)), m.cols)
+    if not _annihilates(m, vectors):
+        raise AssertionError("kernel vector fails re-multiplication check")
     return KernelBasis(vectors=tuple(vectors), col_labels=m.col_labels)
 
 
 def is_consistent(m: ConstraintMatrix, rhs: Sequence[Fraction]) -> bool:
-    """Whether M x = rhs has a solution, by rank of [M | rhs] vs rank of M."""
+    """Whether M x = rhs has a solution, by rank of [M | rhs] vs rank of M.
+
+    A homogeneous rhs is consistent with no elimination: x = 0 solves it.
+    """
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match row count")
+    if not any(rhs):
+        return True
     b_col = m.cols  # one past the last column, so it is never a preferred pivot
     augmented = (
         {**row, b_col: Fraction(rhs[r])} if rhs[r] != 0 else row

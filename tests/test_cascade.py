@@ -19,7 +19,7 @@ from beltrami_jets import (
     kernel_single,
     window_kernel,
 )
-from beltrami_jets import _assembly
+from beltrami_jets import _assembly, golden, linalg
 from beltrami_jets.cascade import (
     block_projection_dim,
     check_window_solution,
@@ -326,6 +326,23 @@ def test_single_degree_guard_catches_dropped_first_integral_rows(monkeypatch):
     monkeypatch.setattr(_assembly, "first_integral_rows", lambda *args: [])
     with pytest.raises(AssertionError, match="operator substitution check"):
         kernel_single(1, SigmaTriple(1, 1, -1))
+
+
+def test_rank_certificate_catches_an_echelon_that_claims_every_column(monkeypatch):
+    # an exact elimination that reports a pivot on every column would hide
+    # the counterexample's kernel; the rows chosen mod p bound its rank
+    echelon = linalg._echelon
+
+    def every_column(rows):
+        pivots = echelon(rows)
+        for row in rows:
+            for c in row:
+                pivots.setdefault(c, {c: 1})
+        return pivots
+
+    monkeypatch.setattr(linalg, "_echelon", every_column)
+    with pytest.raises(AssertionError, match="rank mismatch"):
+        analyze(golden.counterexample_factor())
 
 
 def test_forced_source_probe():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from beltrami_jets.linalg import (
+    PRIME,
     ConstraintMatrix,
     format_rational,
     is_consistent,
@@ -105,10 +106,15 @@ def test_stacked_degree_one_system_kernel_dimension():
 
 def test_rank_nullity_and_cross_oracle_on_random_matrices():
     rng = random.Random(101)
-    for _ in range(60):
-        nrows = rng.randint(1, 8)
-        ncols = rng.randint(1, 8)
-        m = _random_matrix(rng, nrows, ncols)
+    matrices = [
+        _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(60)
+    ]
+    # the modular pass falls back to the full exact elimination when the
+    # rank drops mod PRIME, and when a denominator is divisible by PRIME
+    matrices.append(_matrix(2, 2, {(0, 0): 1, (1, 1): PRIME}))
+    matrices.append(_matrix(1, 2, {(0, 0): Fraction(1, PRIME), (0, 1): 1}))
+    for m in matrices:
+        ncols = m.cols
         r = rank(m)
         assert r == rank_dense(m)
         basis = kernel_basis(m)
@@ -122,6 +128,8 @@ def test_rank_nullity_and_cross_oracle_on_random_matrices():
         dense = kernel_basis_dense(m)
         both = [list(v) for v in basis.vectors] + [list(v) for v in dense]
         assert rank_of_vectors(both) == basis.dimension
+        # and both give the same canonical basis
+        assert basis.vectors == tuple(dense)
 
 
 def test_kernel_vectors_normalized_to_leading_one():
