@@ -4,18 +4,19 @@ Rows are produced directly from exponent arithmetic (derivative shifts and
 convolution with known factor polynomials), independently of the operator
 implementations in `polynomials`; kernel vectors are later re-verified with
 those operators, so the two derivations cross-check each other.
+
+Every builder finds its columns in one index {(axis, monomial): position}
+made by `graded_system`: a monomial's degree already names its block X_d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .linalg import ConstraintMatrix
 from .polynomials import (
     AXES,
-    CoefficientIndex,
     HomogeneousPolynomial,
     Monomial,
     coefficient_indices,
@@ -24,33 +25,9 @@ from .polynomials import (
 
 RowLabel = tuple[str, Monomial]
 Row = tuple[RowLabel, dict[int, Fraction]]
+ColumnIndex = dict[tuple[str, Monomial], int]
 
 _UNITS: tuple[Monomial, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-# coupling: (factor component, degree of the unknown block it multiplies)
-Coupling = tuple[HomogeneousPolynomial, int]
-
-
-@dataclass(frozen=True)
-class ColumnSpace:
-    """Ordered coefficient labels for the unknown blocks X_d, d in `degrees`."""
-
-    labels: tuple[CoefficientIndex, ...]
-
-    @classmethod
-    def for_degrees(cls, degrees: Iterable[int]) -> "ColumnSpace":
-        labels: list[CoefficientIndex] = []
-        for d in sorted(set(degrees)):
-            labels.extend(coefficient_indices(d))
-        return cls(labels=tuple(labels))
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {label: i for i, label in enumerate(self.labels)}
-        )
-
-    def position(self, label: CoefficientIndex) -> int:
-        return self._index[label]
 
 
 def _sub(m: Monomial, n: Monomial) -> Monomial | None:
@@ -58,9 +35,8 @@ def _sub(m: Monomial, n: Monomial) -> Monomial | None:
     return out if min(out) >= 0 else None
 
 
-def _add_entry(row: dict[int, Fraction], cs: ColumnSpace, label: CoefficientIndex, value) -> None:
-    pos = cs.position(label)
-    new = row.get(pos, Fraction(0)) + value
+def _add_entry(row: dict[int, Fraction], pos: int, value) -> None:
+    new = row.get(pos, 0) + value
     if new == 0:
         row.pop(pos, None)
     else:
@@ -69,23 +45,22 @@ def _add_entry(row: dict[int, Fraction], cs: ColumnSpace, label: CoefficientInde
 
 def _coupling_entries(
     row: dict[int, Fraction],
-    cs: ColumnSpace,
+    index: ColumnIndex,
     mu: Monomial,
     coeffs: dict[Monomial, Fraction],
     axis: str,
-    src_degree: int,
 ) -> None:
-    """Entries of coefficient(mu) in g * X_src^axis, g given by its coeffs."""
+    """Entries of coefficient(mu) in g * X^axis, g given by its coeffs."""
     for nu, c in coeffs.items():
         target = _sub(mu, nu)
         if target is not None:
-            _add_entry(row, cs, CoefficientIndex(axis, target, src_degree), c)
+            _add_entry(row, index[axis, target], c)
 
 
 def curl_rows(
-    m_degree: int, couplings: Sequence[Coupling], cs: ColumnSpace
+    m_degree: int, couplings: Sequence[HomogeneousPolynomial], index: ColumnIndex
 ) -> list[Row]:
-    """Rows of curl(X_m) - sum(f * X_src) = 0, matched at degree m-1.
+    """Rows of curl(X_m) - sum(f_j * X_{m-1-j}) = 0, matched at degree m-1.
 
     Emitted in component order (curl_x, curl_y, curl_z), monomials in
     descending lex within each component.
@@ -93,7 +68,7 @@ def curl_rows(
     if m_degree < 1:
         return []
     monos = monomials_of_degree(m_degree - 1)
-    negated = [({nu: -c for nu, c in poly.coeffs.items()}, src) for poly, src in couplings]
+    negated = [{nu: -c for nu, c in poly.coeffs.items()} for poly in couplings]
     # curl components as (positive axis, shift axis index, negative axis, shift axis index)
     parts = (
         ("curl_x", "z", 1, "y", 2),
@@ -107,26 +82,18 @@ def curl_rows(
             row: dict[int, Fraction] = {}
             up = list(mu)
             up[plus_idx] += 1
-            _add_entry(
-                row, cs,
-                CoefficientIndex(plus_axis, tuple(up), m_degree),
-                Fraction(mu[plus_idx] + 1),
-            )
+            _add_entry(row, index[plus_axis, tuple(up)], Fraction(mu[plus_idx] + 1))
             up = list(mu)
             up[minus_idx] += 1
-            _add_entry(
-                row, cs,
-                CoefficientIndex(minus_axis, tuple(up), m_degree),
-                Fraction(-(mu[minus_idx] + 1)),
-            )
-            for coeffs, src in negated:
-                _coupling_entries(row, cs, mu, coeffs, comp, src)
+            _add_entry(row, index[minus_axis, tuple(up)], Fraction(-(mu[minus_idx] + 1)))
+            for coeffs in negated:
+                _coupling_entries(row, index, mu, coeffs, comp)
             if row:
                 rows.append(((f"{tag}@{m_degree}", mu), row))
     return rows
 
 
-def div_rows(m_degree: int, cs: ColumnSpace) -> list[Row]:
+def div_rows(m_degree: int, index: ColumnIndex) -> list[Row]:
     """Rows of div(X_m) = 0, matched at degree m-1."""
     if m_degree < 1:
         return []
@@ -136,36 +103,32 @@ def div_rows(m_degree: int, cs: ColumnSpace) -> list[Row]:
         for idx, axis in enumerate(AXES):
             up = list(mu)
             up[idx] += 1
-            _add_entry(
-                row, cs,
-                CoefficientIndex(axis, tuple(up), m_degree),
-                Fraction(mu[idx] + 1),
-            )
+            _add_entry(row, index[axis, tuple(up)], Fraction(mu[idx] + 1))
         if row:
             rows.append(((f"div@{m_degree}", mu), row))
     return rows
 
 
 def first_integral_rows(
-    t_degree: int, couplings: Sequence[Coupling], cs: ColumnSpace
+    t_degree: int, couplings: Sequence[HomogeneousPolynomial], index: ColumnIndex
 ) -> list[Row]:
-    """Rows of sum(<grad(f_j)/2, X_src>) = 0 matched at degree t.
+    """Rows of sum(<grad(f_j)/2, X_{t+1-j}>) = 0 matched at degree t.
 
     The halved gradient is taken by exponent arithmetic, so the stored rows
     carry sigma-coefficients rather than 2*sigma.
     """
     halved = [
-        (axis, src, {
+        (axis, {
             _sub(nu, unit): c * nu[k] / 2 for nu, c in poly.coeffs.items() if nu[k]
         })
-        for poly, src in couplings
+        for poly in couplings
         for k, (axis, unit) in enumerate(zip(AXES, _UNITS))
     ]
     rows: list[Row] = []
     for mu in monomials_of_degree(t_degree):
         row: dict[int, Fraction] = {}
-        for axis, src, coeffs in halved:
-            _coupling_entries(row, cs, mu, coeffs, axis, src)
+        for axis, coeffs in halved:
+            _coupling_entries(row, index, mu, coeffs, axis)
         if row:
             rows.append(((f"fi@{t_degree}", mu), row))
     return rows
@@ -189,14 +152,15 @@ def graded_system(
     factor = sorted(components.items())
     if constant != 0:
         factor.insert(0, (0, HomogeneousPolynomial(0, {(0, 0, 0): constant})))
-    cs = ColumnSpace.for_degrees(range(lo, hi + 1))
+    labels = [label for d in range(lo, hi + 1) for label in coefficient_indices(d)]
+    index = {(label.component, label.monomial): pos for pos, label in enumerate(labels)}
     rows: list[Row] = []
     for m in range(lo, hi + 1):
-        rows.extend(curl_rows(m, [(g, m - 1 - j) for j, g in factor if m - 1 - j >= lo], cs))
-        rows.extend(div_rows(m, cs))
+        rows.extend(curl_rows(m, [g for j, g in factor if m - 1 - j >= lo], index))
+        rows.extend(div_rows(m, index))
     if components:
         jmin = min(components)
         for t in range(lo + jmin - 1, hi + jmin):
-            couplings = [(g, t + 1 - j) for j, g in factor if j and lo <= t + 1 - j <= hi]
-            rows.extend(first_integral_rows(t, couplings, cs))
-    return ConstraintMatrix.from_rows(cs.labels, rows)
+            couplings = [g for j, g in factor if j and lo <= t + 1 - j <= hi]
+            rows.extend(first_integral_rows(t, couplings, index))
+    return ConstraintMatrix.from_rows(labels, rows)

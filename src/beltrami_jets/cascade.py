@@ -30,7 +30,7 @@ from .polynomials import (
     CoefficientIndex,
     HomogeneousPolynomial,
     PolynomialVectorField,
-    field_to_coefficients,
+    coefficient_vector,
     field_to_json,
     fields_from_vector,
     jet_residuals_vanish,
@@ -56,7 +56,8 @@ class TruncatedFactor:
         object.__setattr__(self, "constant", coerce_rational(self.constant))
         clean: dict[int, HomogeneousPolynomial] = {}
         for degree, poly in self.components.items():
-            degree = int(degree)
+            if type(degree) is not int:  # bool is an int subclass; floats would truncate
+                raise TypeError(f"component degree {degree!r} is not an int")
             if degree < 2:
                 raise ValueError("factor components start at degree 2")
             if poly.degree != degree:
@@ -188,12 +189,12 @@ def forced_source_feasible(
     """Feasibility of the window with X_i pinned to a given field.
 
     The X_i columns are moved to the right-hand side and feasibility is
-    decided by exact rank comparison of [A | b] against A.
+    decided by `is_consistent`: by the kernel of [A | -b].
     """
     if x_i.degree != i:
         raise ValueError("pinned field degree must equal the window base degree")
     matrix = assemble_window(f, i, d).matrix
-    pinned = field_to_coefficients(x_i)
+    pinned = coefficient_vector({i: x_i}, matrix.col_labels)
     keep = [pos for pos, label in enumerate(matrix.col_labels) if label.term_degree != i]
     keep_index = {old: new for new, old in enumerate(keep)}
     rhs = []
@@ -205,7 +206,7 @@ def forced_source_feasible(
             if c in keep_index:
                 kept[keep_index[c]] = v
             else:
-                b -= v * pinned.get(matrix.col_labels[c], Fraction(0))
+                b -= v * pinned[c]
         rhs.append(b)
         kept_rows.append(kept)
     reduced = ConstraintMatrix(

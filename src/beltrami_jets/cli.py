@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -29,7 +28,7 @@ from .golden import (
 )
 from .harmonics import lifted_field
 from .linalg import format_rational, parse_rational
-from .polynomials import field_to_coefficients, field_to_json, fields_from_vector
+from .polynomials import coefficient_vector, field_to_json, fields_from_vector
 from .single_degree import (
     SigmaTriple,
     assemble_single,
@@ -182,8 +181,7 @@ def _cmd_verify_harmonic(args) -> int:
         sigma = SigmaTriple(1, 1, -i)
         system = assemble_single(i, sigma)
         for field in (lifted_field(i, 1), lifted_field(i, 2)):
-            coeffs = field_to_coefficients(field)
-            vec = [coeffs.get(l, Fraction(0)) for l in system.col_labels]
+            vec = coefficient_vector({i: field}, system.col_labels)
             lifted_ok = lifted_ok and all(r == 0 for r in system.multiply(vec))
         if i >= 3:
             span_ok = span_ok and lifted_fields_span_kernel(i, sigma)

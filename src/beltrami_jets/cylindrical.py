@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import coerce_rational
 from .polynomials import (
     HomogeneousPolynomial,
     PolynomialVectorField,
@@ -44,7 +45,7 @@ class RadialSeries:
     def __post_init__(self):
         clean = {}
         for k, c in self.coeffs.items():
-            c = Fraction(c)
+            c = coerce_rational(c)
             if c == 0:
                 continue
             if not 0 <= k <= self.order:

@@ -30,7 +30,7 @@ from .polynomials import (
     CoefficientIndex,
     HomogeneousPolynomial,
     PolynomialVectorField,
-    field_to_coefficients,
+    coefficient_vector,
     laplacian,
     monomials_of_degree,
 )
@@ -221,10 +221,7 @@ def random_nonzero_rational(rng: random.Random, span: int = 9) -> Fraction:
 def span_equals(basis_vectors, col_labels, fields) -> bool:
     """Whether span(basis) == span(basis + fields), by exact rank."""
     stacked = [list(v) for v in basis_vectors]
-    extra = []
-    for field in fields:
-        coeffs = field_to_coefficients(field)
-        extra.append([coeffs.get(l, Fraction(0)) for l in col_labels])
+    extra = [coefficient_vector({field.degree: field}, col_labels) for field in fields]
     return rank_of_vectors(stacked) == rank_of_vectors(stacked + extra) == len(fields)
 
 
@@ -426,10 +423,7 @@ def _check_counterexample(cfg: SuiteConfig) -> tuple[bool, str]:
     pair_fields = {1: x1, 2: x2}
     ok = basis.dimension == 1 and projection == 1
     ok = ok and check_window_solution(f, 1, 1, pair_fields)
-    coeffs = {}
-    coeffs.update(field_to_coefficients(x1))
-    coeffs.update(field_to_coefficients(x2))
-    pair_vec = [coeffs.get(l, Fraction(0)) for l in basis.col_labels]
+    pair_vec = coefficient_vector(pair_fields, basis.col_labels)
     stacked = [list(v) for v in basis.vectors]
     ok = ok and rank_of_vectors(stacked + [pair_vec]) == rank_of_vectors(stacked)
     ok = ok and analyze(f).verdict == VERDICT_INCONCLUSIVE

@@ -24,10 +24,15 @@ PRIME = 2**31 - 1
 
 
 def coerce_rational(value) -> Fraction:
-    """Coerce int/str/Fraction to Fraction, rejecting floats (no rounding)."""
-    if isinstance(value, float):
-        raise TypeError(f"refusing inexact float coefficient {value!r}")
-    return Fraction(value)
+    """A Fraction as is, an int as a Fraction, a str by `parse_rational`;
+    anything else (bool and float included) raises TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(f"not an exact rational: {value!r}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -322,20 +327,27 @@ def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
 
 
 def is_consistent(m: ConstraintMatrix, rhs: Sequence[Fraction]) -> bool:
-    """Whether M x = rhs has a solution, by rank of [M | rhs] vs rank of M.
+    """Whether M x = rhs has a solution: whether the kernel of [M | -rhs]
+    holds a vector that is nonzero on the rhs column.
 
-    A homogeneous rhs is consistent with no elimination: x = 0 solves it.
+    The kernel comes from `kernel_basis`, so the answer carries its
+    certificates: a solution is re-multiplied, and "no solution" rests on
+    the rank bound mod `PRIME`.  A homogeneous rhs is consistent with no
+    elimination: x = 0 solves it.
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match row count")
     if not any(rhs):
         return True
-    b_col = m.cols  # one past the last column, so it is never a preferred pivot
-    augmented = (
-        {**row, b_col: Fraction(rhs[r])} if rhs[r] != 0 else row
-        for r, row in enumerate(m.row_dicts())
+    augmented = ConstraintMatrix(
+        col_labels=m.col_labels + ("rhs",),
+        row_labels=m.row_labels,
+        row_entries=tuple(
+            {**row, m.cols: -coerce_rational(b)} if b != 0 else row
+            for row, b in zip(m.row_dicts(), rhs)
+        ),
     )
-    return b_col not in _echelon(_integer_rows(augmented))
+    return any(vec[-1] != 0 for vec in kernel_basis(augmented).vectors)
 
 
 def _dense_grid(m: ConstraintMatrix) -> list[list[Fraction]]:

@@ -335,6 +335,19 @@ def fields_from_vector(
     return {d: field_from_coefficients(d, grouped[d]) for d in degrees}
 
 
+def coefficient_vector(
+    fields: dict[int, PolynomialVectorField], col_labels: Sequence[CoefficientIndex]
+) -> list[Fraction]:
+    """The column vector of one field per term degree: the inverse of
+    `fields_from_vector`.  A coefficient with no column raises KeyError."""
+    position = {label: pos for pos, label in enumerate(col_labels)}
+    vector = [Fraction(0)] * len(col_labels)
+    for field in fields.values():
+        for label, c in field_to_coefficients(field).items():
+            vector[position[label]] = c
+    return vector
+
+
 # ---------------------------------------------------------------------------
 # JSON forms (the CLI's input/output contract).
 # ---------------------------------------------------------------------------

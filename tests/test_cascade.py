@@ -76,6 +76,8 @@ def test_factor_validation():
         TruncatedFactor(constant=Fraction(1), components={1: P(1, {(1, 0, 0): 1})})
     with pytest.raises(ValueError):
         TruncatedFactor(constant=Fraction(0), components={3: P(2, {(2, 0, 0): 1})})
+    with pytest.raises(TypeError):
+        TruncatedFactor(constant=Fraction(0), components={2.9: P(2, {(2, 0, 0): 1})})
     f = TruncatedFactor(constant=Fraction(1), components={2: P(2, {}), 3: P(3, {(1, 1, 1): 1})})
     assert 2 not in f.components and f.max_degree == 3
 
@@ -343,6 +345,11 @@ def test_rank_certificate_catches_an_echelon_that_claims_every_column(monkeypatc
     monkeypatch.setattr(linalg, "_echelon", every_column)
     with pytest.raises(AssertionError, match="rank mismatch"):
         analyze(golden.counterexample_factor())
+    # pinning X_1 to the pair's leading term is feasible; the same echelon
+    # must not turn that into a silent False
+    x1, _ = golden.counterexample_pair()
+    with pytest.raises(AssertionError, match="rank mismatch"):
+        forced_source_feasible(golden.counterexample_factor(), 1, 1, x1)
 
 
 def test_forced_source_probe():

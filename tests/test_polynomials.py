@@ -19,10 +19,13 @@ from beltrami_jets import (
     scale_mul,
 )
 from beltrami_jets.harmonics import lifted_field, planar_harmonics
+from beltrami_jets.linalg import coerce_rational
 from beltrami_jets.polynomials import (
     coefficient_indices,
+    coefficient_vector,
     field_from_json,
     field_to_json,
+    fields_from_vector,
     monomials_of_degree,
     poly_from_json,
     poly_to_json,
@@ -208,6 +211,25 @@ def test_degree_tags_are_strict():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         P(1, {(1, 0, 0): 0.5})
+    for inexact in (True, 0.5, 2.0):
+        with pytest.raises(TypeError):
+            coerce_rational(inexact)
+    half = Fraction(1, 2)
+    assert coerce_rational(half) is half
+    assert coerce_rational(" -3/6 ") == Fraction(-1, 2) and coerce_rational(7) == 7
+    with pytest.raises(ValueError):
+        coerce_rational("1e3")
+
+
+def test_coefficient_vector_inverts_fields_from_vector():
+    rng = random.Random(17)
+    labels = coefficient_indices(1) + coefficient_indices(2)
+    vector = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in labels]
+    fields = fields_from_vector(vector, labels)
+    assert coefficient_vector(fields, labels) == vector
+    assert coefficient_vector({2: fields[2]}, labels) == [0] * 9 + vector[9:]
+    with pytest.raises(KeyError):
+        coefficient_vector({3: random_field(rng, 3, density=1.0)}, labels)
 
 
 def test_coefficient_indices_count_and_order():

@@ -79,6 +79,10 @@ def test_degenerate_sigma_rejected():
         SigmaTriple(0, 1, 2)
     with pytest.raises(ValueError):
         SigmaTriple.parse("1,1")
+    with pytest.raises(ValueError):
+        SigmaTriple("1e3", "0.5", 1)
+    with pytest.raises(TypeError):
+        SigmaTriple(True, 1, 1)
 
 
 def test_parse_rational_sigma():
