@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .linalg import coerce_rational
 from .polynomials import (
     HomogeneousPolynomial,
+    Monomial,
     PolynomialVectorField,
     curl,
     div,
@@ -141,23 +143,32 @@ def _radial_equations_hold(u: RadialSeries, v: RadialSeries, through: int) -> bo
     return True
 
 
+def _radial_power_times(c: Fraction, n: int, m: Monomial) -> HomogeneousPolynomial:
+    """c (x^2+y^2)^n x^a y^b z^e for m = (a, b, e), from the binomial form
+    sum_j C(n, j) x^(2j) y^(2n-2j)."""
+    a, b, e = m
+    return HomogeneousPolynomial(
+        2 * n + a + b + e,
+        {(2 * j + a, 2 * (n - j) + b, e): c * comb(n, j) for j in range(n + 1)},
+    )
+
+
 def _lift_degree(u: RadialSeries, v: RadialSeries, k: int) -> PolynomialVectorField:
     """Degree-k component of X = (u/r)(-y, x, 0) + v (0, 0, 1), zero where u and v vanish.
 
     The supports must be the ones `_check_lift_support` accepts.
     """
-    r2 = HomogeneousPolynomial(2, {(2, 0, 0): 1, (0, 2, 0): 1})
     if k in u.coeffs:
-        planar = (r2 ** ((k - 1) // 2)) * u.coeffs[k]
+        n, c = (k - 1) // 2, u.coeffs[k]
         return PolynomialVectorField(
             k,
-            planar * HomogeneousPolynomial.monomial((0, 1, 0), -1),
-            planar * HomogeneousPolynomial.monomial((1, 0, 0)),
+            _radial_power_times(-c, n, (0, 1, 0)),
+            _radial_power_times(c, n, (1, 0, 0)),
             HomogeneousPolynomial.zero(k),
         )
     if k in v.coeffs:
         z = HomogeneousPolynomial.zero(k)
-        return PolynomialVectorField(k, z, z, (r2 ** (k // 2)) * v.coeffs[k])
+        return PolynomialVectorField(k, z, z, _radial_power_times(v.coeffs[k], k // 2, (0, 0, 0)))
     return PolynomialVectorField.zero(k)
 
 
@@ -174,7 +185,9 @@ def cartesian_lift(u: RadialSeries, v: RadialSeries, through: int) -> dict[int, 
     """Homogeneous components of X = (u/r)(-y, x, 0) + v (0, 0, 1).
 
     Requires u supported on exponents 3 mod 6 and v on 0 mod 6, which makes
-    every component a polynomial in (x, y).
+    every component a polynomial in (x, y).  Nothing in the package calls it
+    (`verify_beltrami_cylindrical` lifts one degree at a time); it stays
+    because `bench/tracing.py` traces it as the `cylindrical.lift` layer.
     """
     _check_lift_support(u, v)
     return {k: _lift_degree(u, v, k) for k in (*u.coeffs, *v.coeffs) if k <= through}

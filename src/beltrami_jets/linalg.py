@@ -209,11 +209,18 @@ def rank_of_vectors(vectors: Iterable[Sequence[Fraction]]) -> int:
 
 def _independent_rows_mod_p(rows: Sequence[dict[int, Fraction]], cols: int) -> list[int] | None:
     """Indices of the rows that become pivots when the rows, reduced mod
-    `PRIME`, are eliminated in order on their smallest columns (as `_echelon`
-    pivots), or None when a denominator is divisible by `PRIME`.
+    `PRIME`, are eliminated in order on their largest columns, or None when a
+    denominator is divisible by `PRIME`.
 
     Rows independent mod `PRIME` are independent over Q, so the count is a
     lower bound on the rank.  Elimination stops once every column has a pivot.
+
+    The largest column is a row's own-degree derivative entry in the assembled
+    systems, while its dense coupling entries sit in lower blocks, so the rows
+    arrive nearly triangular and few updates are needed.  The pivot order
+    changes neither certificate: any set of rows independent mod p proves a
+    trivial kernel, and `kernel_basis` still eliminates the chosen rows
+    exactly on their smallest columns, as `_echelon` does.
     """
     p = PRIME
     inverse: dict[int, int] = {}  # x -> x^-1 mod p, for denominators and pivot leads
@@ -235,7 +242,7 @@ def _independent_rows_mod_p(rows: Sequence[dict[int, Fraction]], cols: int) -> l
             if x:
                 residues[c] = x
         while residues:
-            lead = min(residues)
+            lead = max(residues)
             pivot = pivots.get(lead)
             if pivot is None:
                 x = residues[lead]
@@ -300,7 +307,10 @@ def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
       exactly.  They are independent over Q, so anything but one exact pivot
       per row raises `AssertionError`.  If every vector of that kernel also
       annihilates the full matrix, the two kernels are equal, and so are
-      their canonical bases; that basis is returned;
+      their canonical bases; that basis is returned.  The pass mod p pivots
+      on the largest column, which only chooses which rows go on; the exact
+      elimination pivots on the smallest column, which fixes the free
+      columns and so the canonical basis;
     - if a vector fails (the rank dropped mod p) or a denominator is
       divisible by p, the full matrix is eliminated exactly, and every
       vector is re-multiplied as a guard: a nonzero residual would be an

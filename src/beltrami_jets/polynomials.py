@@ -109,6 +109,9 @@ class HomogeneousPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "HomogeneousPolynomial":
+        """n successive products.  Nothing in the package calls it (the
+        Bessel lift builds (x^2+y^2)^n from its binomial form); it stays as
+        the tests' oracle and because `bench/tracing.py` traces it."""
         if n < 0:
             raise ValueError("negative power")
         result = HomogeneousPolynomial(0, {(0, 0, 0): 1})

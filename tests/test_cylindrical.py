@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -118,16 +119,53 @@ def test_full_verification_report():
         verify_beltrami_cylindrical(5)
 
 
-@pytest.mark.parametrize("wrong_degree", [0, 3, 12])
-def test_cartesian_check_sees_every_lifted_degree(monkeypatch, wrong_degree):
-    """The check keeps only a window of lifted components; a wrong one still fails it."""
-    lift = cylindrical._lift_degree
+def test_lift_closed_form_equals_repeated_products():
+    """The binomial form of c (x^2+y^2)^n m against n products through `__pow__`."""
+    r2 = P(2, {(2, 0, 0): 1, (0, 2, 0): 1})
+    c = Fraction(3, 7)
+    for n in range(56):
+        power = (r2**n) * c
+        for m in ((0, 0, 0), (1, 0, 0), (0, 1, 0)):
+            assert cylindrical._radial_power_times(c, n, m) == power * P.monomial(m)
 
-    def doubled_at_wrong_degree(u, v, k):
-        field = lift(u, v, k)
-        return field * 2 if k == wrong_degree else field
 
-    monkeypatch.setattr(cylindrical, "_lift_degree", doubled_at_wrong_degree)
-    report = verify_beltrami_cylindrical(12)
+def _doubled_at_degree(wrong_degree):
+    def mutate(monkeypatch):
+        lift = cylindrical._lift_degree
+
+        def doubled_at_wrong_degree(u, v, k):
+            field = lift(u, v, k)
+            return field * 2 if k == wrong_degree else field
+
+        monkeypatch.setattr(cylindrical, "_lift_degree", doubled_at_wrong_degree)
+
+    return mutate
+
+
+def _wrong_binomial(n, j):
+    def mutate(monkeypatch):
+        def comb_off_by_one(a, b):
+            return comb(a, b) + ((a, b) == (n, j))
+
+        monkeypatch.setattr(cylindrical, "comb", comb_off_by_one)
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "order, mutate",
+    [
+        pytest.param(12, _doubled_at_degree(0), id="0"),
+        pytest.param(12, _doubled_at_degree(3), id="3"),
+        pytest.param(12, _doubled_at_degree(12), id="12"),
+        pytest.param(12, _wrong_binomial(3, 1), id="C(3,1)+1"),
+        pytest.param(103, _wrong_binomial(40, 7), id="C(40,7)+1"),
+    ],
+)
+def test_cartesian_check_sees_every_lifted_degree(monkeypatch, order, mutate):
+    """The check keeps only a window of lifted components; a wrong one still
+    fails it, and so does one wrong binomial coefficient in the closed form."""
+    mutate(monkeypatch)
+    report = verify_beltrami_cylindrical(order)
     assert report.recurrence_ok and report.bessel_match_ok
     assert not report.cartesian_ok
