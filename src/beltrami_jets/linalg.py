@@ -215,12 +215,13 @@ def _independent_rows_mod_p(rows: Sequence[dict[int, Fraction]], cols: int) -> l
     Rows independent mod `PRIME` are independent over Q, so the count is a
     lower bound on the rank.  Elimination stops once every column has a pivot.
 
-    The largest column is a row's own-degree derivative entry in the assembled
-    systems, while its dense coupling entries sit in lower blocks, so the rows
-    arrive nearly triangular and few updates are needed.  The pivot order
-    changes neither certificate: any set of rows independent mod p proves a
-    trivial kernel, and `kernel_basis` still eliminates the chosen rows
-    exactly on their smallest columns, as `_echelon` does.
+    In the assembled systems a row's largest columns are its sparse
+    derivative entries in its highest block, and its dense coupling entries
+    sit in lower blocks, so the rows arrive nearly triangular and few updates
+    are needed.  The pivot order changes no certificate: any rows independent
+    mod p prove a trivial kernel, `kernel_basis` still eliminates the chosen
+    rows exactly on their smallest columns, as `_echelon` does, and
+    re-multiplication proves that kernel equal to the full one.
     """
     p = PRIME
     inverse: dict[int, int] = {}  # x -> x^-1 mod p, for denominators and pivot leads
@@ -301,8 +302,8 @@ def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
     things happens:
 
     - the rows are eliminated mod `PRIME`; when every column gets a pivot,
-      the rank over Q is cols too, and the empty basis is returned with no
-      exact elimination;
+      whatever the pivot order, the rank over Q is cols too, and the empty
+      basis is returned with no exact elimination;
     - otherwise only the rows that became pivots mod p are eliminated
       exactly.  They are independent over Q, so anything but one exact pivot
       per row raises `AssertionError`.  If every vector of that kernel also
