@@ -74,10 +74,6 @@ class TruncatedFactor:
         components.update(extra or {})
         return cls(constant=coerce_rational(f0), components=components)
 
-    @property
-    def max_degree(self) -> int:
-        return max(self.components, default=0)
-
     def with_cubic_scaled(self, eps) -> "TruncatedFactor":
         """f0 + f2 + eps*f3 + f4 + ...; eps = 0 drops f3."""
         if 3 not in self.components:

@@ -8,7 +8,8 @@ processed in order and each row pivots on its smallest remaining column
 label, so ranks and kernel bases are reproducible across runs.  Kernels
 start with the same elimination modulo a fixed prime, which bounds the rank
 from below: it proves a trivial kernel outright and picks the rows the
-exact elimination needs; every kernel it does not prove is checked exactly.
+exact elimination needs.  Every other kernel is re-multiplied against the
+full matrix, and a row it misses joins the exact elimination.
 """
 
 from __future__ import annotations
@@ -207,10 +208,10 @@ def rank_of_vectors(vectors: Iterable[Sequence[Fraction]]) -> int:
     return len(_echelon(_integer_rows(rows)))
 
 
-def _independent_rows_mod_p(rows: Sequence[dict[int, Fraction]], cols: int) -> list[int] | None:
+def _independent_rows_mod_p(rows: Sequence[dict[int, Fraction]], cols: int) -> list[int]:
     """Indices of the rows that become pivots when the rows, reduced mod
-    `PRIME`, are eliminated in order on their largest columns, or None when a
-    denominator is divisible by `PRIME`.
+    `PRIME`, are eliminated in order on their largest columns.  A row with a
+    denominator divisible by `PRIME` is skipped.
 
     Rows independent mod `PRIME` are independent over Q, so the count is a
     lower bound on the rank.  Elimination stops once every column has a pivot.
@@ -236,8 +237,9 @@ def _independent_rows_mod_p(rows: Sequence[dict[int, Fraction]], cols: int) -> l
             else:
                 inv = inverse.get(d)
                 if inv is None:
-                    if d % p == 0:
-                        return None
+                    if d % p == 0:  # no residue: skip the row
+                        residues.clear()
+                        break
                     inv = inverse[d] = pow(d, -1, p)
                 x = v.numerator * inv % p
             if x:
@@ -290,51 +292,44 @@ def _back_substitute(pivots: dict[int, dict[int, int]], cols: int) -> list[tuple
     return vectors
 
 
-def _annihilates(m: ConstraintMatrix, vectors: Iterable[Sequence[Fraction]]) -> bool:
-    return all(not any(m.multiply(vec)) for vec in vectors)
-
-
 def kernel_basis(m: ConstraintMatrix) -> KernelBasis:
     """Basis of {v : M v = 0}, dimension cols - rank, possibly empty.
 
     The vectors are canonical: one per free column of the echelon form, 1 on
-    it and 0 on the other free columns, scaled to a leading 1.  One of three
-    things happens:
+    it and 0 on the other free columns, scaled to a leading 1.
 
-    - the rows are eliminated mod `PRIME`; when every column gets a pivot,
-      whatever the pivot order, the rank over Q is cols too, and the empty
-      basis is returned with no exact elimination;
-    - otherwise only the rows that became pivots mod p are eliminated
-      exactly.  They are independent over Q, so anything but one exact pivot
-      per row raises `AssertionError`.  If every vector of that kernel also
-      annihilates the full matrix, the two kernels are equal, and so are
-      their canonical bases; that basis is returned.  The pass mod p pivots
-      on the largest column, which only chooses which rows go on; the exact
-      elimination pivots on the smallest column, which fixes the free
-      columns and so the canonical basis;
-    - if a vector fails (the rank dropped mod p) or a denominator is
-      divisible by p, the full matrix is eliminated exactly, and every
-      vector is re-multiplied as a guard: a nonzero residual would be an
-      internal error.
+    The rows that become pivots mod `PRIME` are chosen; they are independent
+    over Q.  Then, in a loop:
+
+    - as many chosen rows as columns prove rank cols, and the empty basis is
+      returned with no exact elimination;
+    - otherwise the chosen rows are eliminated exactly, and anything but one
+      exact pivot per row raises `AssertionError`;
+    - each kernel vector is re-multiplied against every row.  When all rows
+      are annihilated, the kernel of the chosen rows is the kernel of M, and
+      its canonical basis is returned.  Otherwise the first row a vector
+      misses lies outside the span of the chosen rows: it is chosen too, the
+      rank goes up by one, and so the loop ends within cols rounds.
+
+    The pass mod p pivots on the largest column, which only chooses rows; the
+    exact elimination pivots on the smallest column, which fixes the free
+    columns and so the canonical basis.
     """
     rows = m.row_dicts()
     chosen = _independent_rows_mod_p(rows, m.cols)
-    if chosen is not None:
-        if len(chosen) == m.cols:
-            return KernelBasis(vectors=(), col_labels=m.col_labels)
+    while len(chosen) < m.cols:
         pivots = _echelon(_integer_rows(rows[r] for r in chosen))
         if len(pivots) != len(chosen):
             raise AssertionError(
                 f"rank mismatch: exact elimination found {len(pivots)} pivots on "
-                f"{len(chosen)} rows independent mod {PRIME}"
+                f"{len(chosen)} independent rows"
             )
         vectors = _back_substitute(pivots, m.cols)
-        if _annihilates(m, vectors):
+        missed = [r for vec in vectors for r, x in enumerate(m.multiply(vec)) if x]
+        if not missed:
             return KernelBasis(vectors=tuple(vectors), col_labels=m.col_labels)
-    vectors = _back_substitute(_echelon(_integer_rows(rows)), m.cols)
-    if not _annihilates(m, vectors):
-        raise AssertionError("kernel vector fails re-multiplication check")
-    return KernelBasis(vectors=tuple(vectors), col_labels=m.col_labels)
+        chosen.append(min(missed))
+    return KernelBasis(vectors=(), col_labels=m.col_labels)
 
 
 def is_consistent(m: ConstraintMatrix, rhs: Sequence[Fraction]) -> bool:
@@ -342,9 +337,9 @@ def is_consistent(m: ConstraintMatrix, rhs: Sequence[Fraction]) -> bool:
     holds a vector that is nonzero on the rhs column.
 
     The kernel comes from `kernel_basis`, so the answer carries its
-    certificates: a solution is re-multiplied, and "no solution" rests on
-    the rank bound mod `PRIME`.  A homogeneous rhs is consistent with no
-    elimination: x = 0 solves it.
+    certificates: either the rank bound mod `PRIME` proves that kernel
+    trivial, or its vectors annihilate every row of [M | -rhs].  A
+    homogeneous rhs is consistent with no elimination: x = 0 solves it.
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length does not match row count")

@@ -18,7 +18,6 @@ from .linalg import coerce_rational, format_rational, parse_rational
 Monomial = tuple[int, int, int]
 
 AXES = ("x", "y", "z")
-_UNIT: dict[str, Monomial] = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -310,32 +309,19 @@ def field_to_coefficients(v: PolynomialVectorField) -> dict[CoefficientIndex, Fr
     return out
 
 
-def field_from_coefficients(
-    degree: int, values: dict[CoefficientIndex, Fraction]
-) -> PolynomialVectorField:
-    comps = {axis: {} for axis in AXES}
-    for idx, c in values.items():
-        if idx.term_degree != degree:
-            continue
-        comps[idx.component][idx.monomial] = c
-    return PolynomialVectorField(
-        degree,
-        HomogeneousPolynomial(degree, comps["x"]),
-        HomogeneousPolynomial(degree, comps["y"]),
-        HomogeneousPolynomial(degree, comps["z"]),
-    )
-
-
 def fields_from_vector(
     vector: Sequence[Fraction], col_labels: Sequence[CoefficientIndex]
 ) -> dict[int, PolynomialVectorField]:
     """Split a kernel vector into one field per term degree present."""
     degrees = sorted({idx.term_degree for idx in col_labels})
-    grouped: dict[int, dict[CoefficientIndex, Fraction]] = {d: {} for d in degrees}
+    comps = {d: {axis: {} for axis in AXES} for d in degrees}
     for idx, value in zip(col_labels, vector):
         if value != 0:
-            grouped[idx.term_degree][idx] = value
-    return {d: field_from_coefficients(d, grouped[d]) for d in degrees}
+            comps[idx.term_degree][idx.component][idx.monomial] = value
+    return {
+        d: PolynomialVectorField(d, *(HomogeneousPolynomial(d, comps[d][axis]) for axis in AXES))
+        for d in degrees
+    }
 
 
 def coefficient_vector(
@@ -388,11 +374,3 @@ def field_to_json(v: PolynomialVectorField) -> dict:
         "z": poly_to_json(v.z),
     }
 
-
-def field_from_json(data: dict) -> PolynomialVectorField:
-    return PolynomialVectorField(
-        _json_int(data["degree"]),
-        poly_from_json(data["x"]),
-        poly_from_json(data["y"]),
-        poly_from_json(data["z"]),
-    )

@@ -54,10 +54,6 @@ class SigmaTriple:
             2, {(2, 0, 0): self.s1, (0, 2, 0): self.s2, (0, 0, 2): self.s3}
         )
 
-    def scaled(self, c) -> "SigmaTriple":
-        c = coerce_rational(c)
-        return SigmaTriple(self.s1 * c, self.s2 * c, self.s3 * c)
-
     def __str__(self) -> str:
         return f"({self.s1}, {self.s2}, {self.s3})"
 

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from beltrami_jets import golden, linalg
+from beltrami_jets.cascade import assemble_window
 from beltrami_jets.linalg import (
     PRIME,
     ConstraintMatrix,
@@ -20,6 +22,7 @@ from beltrami_jets.linalg import (
     rank_dense,
     rank_of_vectors,
 )
+from beltrami_jets.single_degree import SigmaTriple, assemble_single
 
 
 def _matrix(rows, cols, data):
@@ -109,10 +112,12 @@ def test_rank_nullity_and_cross_oracle_on_random_matrices():
     matrices = [
         _random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8)) for _ in range(60)
     ]
-    # the modular pass falls back to the full exact elimination when the
-    # rank drops mod PRIME, and when a denominator is divisible by PRIME
+    # rows the modular pass misses join the exact elimination: the rank drops
+    # mod PRIME, a denominator is divisible by PRIME, and (1, 0, 0, 0) alone
+    # is chosen mod PRIME, so the row set grows twice, to kernel dim 1
     matrices.append(_matrix(2, 2, {(0, 0): 1, (1, 1): PRIME}))
     matrices.append(_matrix(1, 2, {(0, 0): Fraction(1, PRIME), (0, 1): 1}))
+    matrices.append(_matrix(3, 4, {(0, 0): 1, (1, 1): PRIME, (2, 2): PRIME}))
     for m in matrices:
         ncols = m.cols
         r = rank(m)
@@ -130,6 +135,20 @@ def test_rank_nullity_and_cross_oracle_on_random_matrices():
         assert rank_of_vectors(both) == basis.dimension
         # and both give the same canonical basis
         assert basis.vectors == tuple(dense)
+
+
+def test_grown_row_set_alone_reaches_the_exact_kernel(monkeypatch):
+    # with no rows chosen mod PRIME, re-multiplication picks every row the
+    # exact elimination needs, one per round
+    systems = [
+        assemble_single(i, SigmaTriple(*sigma))
+        for sigma in ((1, -1, 5), (1, 1, -2), (5, 7, 11))
+        for i in (1, 2, 3)
+    ]
+    systems.append(assemble_window(golden.counterexample_factor(), 1, 1).matrix)
+    monkeypatch.setattr(linalg, "_independent_rows_mod_p", lambda rows, cols: [])
+    for m in systems:
+        assert kernel_basis(m).vectors == tuple(kernel_basis_dense(m))
 
 
 def test_kernel_vectors_normalized_to_leading_one():

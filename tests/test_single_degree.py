@@ -275,7 +275,7 @@ def test_kernel_scaling_invariance():
     for scale in (Fraction(2), Fraction(-3, 5)):
         for i, sigma in ((1, SigmaTriple(1, -1, 5)), (3, SigmaTriple(1, 1, -3))):
             a = kernel_single(i, sigma)
-            b = kernel_single(i, sigma.scaled(scale))
+            b = kernel_single(i, SigmaTriple(*(scale * s for s in sigma.as_tuple())))
             assert a.vectors == b.vectors
 
 
