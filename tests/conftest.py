@@ -6,15 +6,12 @@ import random
 from fractions import Fraction
 
 from beltrami_jets import HomogeneousPolynomial, PolynomialVectorField, SigmaTriple
+from beltrami_jets.golden import random_nonzero_rational
 from beltrami_jets.polynomials import monomials_of_degree
 
 
 def random_rational(rng: random.Random, span: int = 9) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, span))
-
-
-def random_nonzero_rational(rng: random.Random, span: int = 9) -> Fraction:
-    return Fraction(rng.randint(1, span), rng.randint(1, span))
 
 
 def random_poly(rng: random.Random, degree: int, density: float = 0.4) -> HomogeneousPolynomial:

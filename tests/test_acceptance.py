@@ -9,12 +9,10 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 
 from beltrami_jets import (
     HomogeneousPolynomial,
-    PolynomialVectorField,
     SigmaTriple,
     TruncatedFactor,
     VERDICT_INCONCLUSIVE,
@@ -33,15 +31,12 @@ from beltrami_jets import (
     verify_beltrami_cylindrical,
     window_kernel,
 )
+from beltrami_jets import golden
 from beltrami_jets.cascade import block_projection_dim, check_window_solution
 from beltrami_jets.cylindrical import NU_MINUS_ONE_THIRD, NU_PLUS_TWO_THIRDS
 from beltrami_jets.harmonics import lifted_field
 from beltrami_jets.linalg import kernel_dimension_dense, rank_of_vectors
-from beltrami_jets.polynomials import (
-    CoefficientIndex,
-    field_to_coefficients,
-    fields_from_vector,
-)
+from beltrami_jets.polynomials import coefficient_vector, fields_from_vector
 from beltrami_jets.single_degree import assemble_single
 from conftest import (
     random_field,
@@ -56,11 +51,6 @@ P = HomogeneousPolynomial
 
 def _report(name: str) -> None:
     print(f"ACCEPTANCE {name}: PASS")
-
-
-def _field_vector(field, labels):
-    coeffs = field_to_coefficients(field)
-    return [coeffs.get(l, Fraction(0)) for l in labels]
 
 
 def test_criterion_01_vector_calculus_identities():
@@ -96,60 +86,16 @@ def test_criterion_01_vector_calculus_identities():
 
 
 def test_criterion_02_reference_row_golden_match():
-    def ci(comp, mono, deg):
-        return CoefficientIndex(comp, tuple(mono), deg)
-
-    def canon(rows):
-        return Counter(frozenset(r.items()) for r in rows)
-
-    def by_tag(matrix, prefix):
-        return canon(
-            row
-            for (tag, _), row in matrix.labeled_rows()
-            if tag.startswith(prefix)
-        )
-
     for sigma in (SigmaTriple(5, 7, 11), SigmaTriple(Fraction(2, 3), -4, 9)):
-        s1, s2, s3 = sigma.as_tuple()
-        one, two = Fraction(1), Fraction(2)
         m1 = assemble_single(1, sigma)
-        curl1 = [
-            {ci("y", (0, 0, 1), 1): -one, ci("z", (0, 1, 0), 1): one},
-            {ci("x", (0, 0, 1), 1): one, ci("z", (1, 0, 0), 1): -one},
-            {ci("x", (0, 1, 0), 1): -one, ci("y", (1, 0, 0), 1): one},
-        ]
-        div1 = [{ci("x", (1, 0, 0), 1): one, ci("y", (0, 1, 0), 1): one, ci("z", (0, 0, 1), 1): one}]
-        fi1 = [
-            {ci("x", (0, 1, 0), 1): s1, ci("y", (1, 0, 0), 1): s2},
-            {ci("y", (0, 0, 1), 1): s2, ci("z", (0, 1, 0), 1): s3},
-            {ci("x", (0, 0, 1), 1): s1, ci("z", (1, 0, 0), 1): s3},
-            {ci("z", (0, 0, 1), 1): s3},
-            {ci("y", (0, 1, 0), 1): s2},
-            {ci("x", (1, 0, 0), 1): s1},
-        ]
-        assert by_tag(m1, "curl") == canon(curl1)
-        assert by_tag(m1, "div") == canon(div1)
-        assert by_tag(m1, "fi") == canon(fi1)
-
+        ref1 = golden.reference_rows_degree_one(sigma)
+        for tag in ("curl", "div", "fi"):
+            assert golden.rows_match(golden.rows_by_tag(m1, tag), ref1[tag])
         m2 = assemble_single(2, sigma)
-        curl2 = [
-            {ci("z", (0, 1, 1), 2): one, ci("y", (0, 0, 2), 2): -two},
-            {ci("z", (0, 2, 0), 2): two, ci("y", (0, 1, 1), 2): -one},
-            {ci("z", (1, 1, 0), 2): one, ci("y", (1, 0, 1), 2): -one},
-            {ci("x", (0, 1, 1), 2): one, ci("z", (1, 1, 0), 2): -one},
-            {ci("x", (1, 0, 1), 2): one, ci("z", (2, 0, 0), 2): -two},
-            {ci("y", (1, 0, 1), 2): one, ci("x", (0, 1, 1), 2): -one},
-            {ci("y", (2, 0, 0), 2): two, ci("x", (1, 1, 0), 2): -one},
-            {ci("x", (0, 0, 2), 2): two, ci("z", (1, 0, 1), 2): -one},
-            {ci("y", (1, 1, 0), 2): one, ci("x", (0, 2, 0), 2): -two},
-        ]
-        div2 = [
-            {ci("x", (1, 0, 1), 2): one, ci("y", (0, 1, 1), 2): one, ci("z", (0, 0, 2), 2): two},
-            {ci("x", (1, 1, 0), 2): one, ci("y", (0, 2, 0), 2): two, ci("z", (0, 1, 1), 2): one},
-            {ci("x", (2, 0, 0), 2): two, ci("y", (1, 1, 0), 2): one, ci("z", (1, 0, 1), 2): one},
-        ]
-        assert by_tag(m2, "curl") == canon(curl2)
-        assert by_tag(m2, "div") == canon(div2)
+        ref2 = golden.reference_rows_degree_two(sigma)
+        for tag in ("curl", "div"):
+            assert golden.rows_match(golden.rows_by_tag(m2, tag), ref2[tag])
+        assert golden.rows_contain(golden.rows_by_tag(m2, "fi"), ref2["fi_listed"])
     _report("2 reference rows at degrees 1 and 2 (exact, up to row ordering)")
 
 
@@ -171,11 +117,8 @@ def test_criterion_04_resonant_kernels_and_unflagged_spectra():
         sigma = SigmaTriple(1, 1, -i)
         basis = kernel_single(i, sigma)
         assert basis.dimension == 2
-        stacked = [list(v) for v in basis.vectors]
-        lifted = [
-            _field_vector(lifted_field(i, which), basis.col_labels) for which in (1, 2)
-        ]
-        assert rank_of_vectors(stacked) == rank_of_vectors(stacked + lifted) == 2
+        pair = [lifted_field(i, 1), lifted_field(i, 2)]
+        assert golden.span_equals(basis.vectors, basis.col_labels, pair)
     rng = random.Random(1004)
     found = 0
     while found < 200:
@@ -199,9 +142,7 @@ def test_criterion_05_derived_kernel_table_with_oracle():
         assert basis.dimension == expected_dim
         assert kernel_dimension_dense(assemble_single(degree, sigma)) == expected_dim
         if generator is not None:
-            stacked = [list(v) for v in basis.vectors]
-            extra = [_field_vector(generator, basis.col_labels)]
-            assert rank_of_vectors(stacked + extra) == expected_dim
+            assert golden.span_equals(basis.vectors, basis.col_labels, [generator])
     _report("5 derived kernel table confirmed by the dense brute-force oracle")
 
 
@@ -237,20 +178,13 @@ def test_criterion_07_nonzero_constant_window_sweep():
 
 
 def test_criterion_08_counterexample_reproduction():
-    factor = TruncatedFactor.diagonal(
-        1, SigmaTriple(1, 1, -1), {3: P(3, {(1, 1, 1): 2})}
-    )
+    factor = golden.counterexample_factor()
     basis, projection = window_kernel(factor, 1, 1)
     assert basis.dimension == 1 and projection == 1
-    x1 = PolynomialVectorField(1, P(1, {(0, 0, 1): -1}), P.zero(1), P(1, {(1, 0, 0): -1}))
-    x2 = PolynomialVectorField(2, P(2, {(1, 1, 0): 1}), P.zero(2), P(2, {(0, 1, 1): -1}))
+    x1, x2 = golden.counterexample_pair()
     assert check_window_solution(factor, 1, 1, {1: x1, 2: x2})
-    coeffs = {}
-    coeffs.update(field_to_coefficients(x1))
-    coeffs.update(field_to_coefficients(x2))
-    pair_vec = [coeffs.get(l, Fraction(0)) for l in basis.col_labels]
-    stacked = [list(v) for v in basis.vectors]
-    assert rank_of_vectors(stacked + [pair_vec]) == rank_of_vectors(stacked) == 1
+    pair_vec = coefficient_vector({1: x1, 2: x2}, basis.col_labels)
+    assert rank_of_vectors([*basis.vectors, pair_vec]) == 1
     assert analyze(factor).verdict == VERDICT_INCONCLUSIVE
     _report("8 counterexample window kernel is exactly the displayed pair")
 

@@ -27,43 +27,12 @@ from beltrami_jets.cascade import (
 )
 from beltrami_jets.harmonics import lifted_field
 from beltrami_jets.linalg import rank_of_vectors
-from beltrami_jets.polynomials import (
-    CoefficientIndex,
-    field_to_coefficients,
-    fields_from_vector,
-)
+from beltrami_jets.polynomials import CoefficientIndex as ci
+from beltrami_jets.polynomials import coefficient_vector, fields_from_vector
 from beltrami_jets.single_degree import assemble_single
 from conftest import random_nonzero_poly
 
 P = HomogeneousPolynomial
-
-
-def _counterexample_factor():
-    return TruncatedFactor.diagonal(
-        1, SigmaTriple(1, 1, -1), {3: P(3, {(1, 1, 1): 2})}
-    )
-
-
-def _pair():
-    x1 = PolynomialVectorField(
-        1, P(1, {(0, 0, 1): -1}), P.zero(1), P(1, {(1, 0, 0): -1})
-    )
-    x2 = PolynomialVectorField(
-        2, P(2, {(1, 1, 0): 1}), P.zero(2), P(2, {(0, 1, 1): -1})
-    )
-    return x1, x2
-
-
-def _row_lookup(matrix):
-    return {label: row for label, row in zip(matrix.row_labels, matrix.row_dicts())}
-
-
-def _labeled(matrix, label):
-    rows = {
-        lab: {matrix.col_labels[c]: v for c, v in row.items()}
-        for lab, row in _row_lookup(matrix).items()
-    }
-    return rows[label]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +70,7 @@ def test_factor_sigma_extraction():
 
 
 def test_factor_json_round_trip():
-    f = _counterexample_factor()
+    f = golden.counterexample_factor()
     data = f.to_json()
     assert data["f0"] == "1"
     assert set(data["components"]) == {"2", "3"}
@@ -138,54 +107,46 @@ def test_zero_constant_window_structure_and_frozen_rows():
     assert tags == {
         f"{kind}@{m}" for kind in ("curl_x", "curl_y", "curl_z", "div") for m in (3, 4, 5, 6)
     } | {f"fi@{t}" for t in (4, 5, 6, 7)}
-
-    def ci(comp, mono, deg):
-        return CoefficientIndex(comp, mono, deg)
-
+    rows = dict(matrix.labeled_rows())
     # coupled curl row: curl_z(X_6) - (f2 X_3)_z at monomial x y^4
-    assert _labeled(matrix, ("curl_z@6", (1, 4, 0))) == {
+    assert rows["curl_z@6", (1, 4, 0)] == {
         ci("y", (2, 4, 0), 6): Fraction(2),
         ci("x", (1, 5, 0), 6): Fraction(-5),
         ci("z", (1, 2, 0), 3): Fraction(-1),
     }
     # div rows of the top block at y^5 and x y^4
-    assert _labeled(matrix, ("div@6", (0, 5, 0))) == {
+    assert rows["div@6", (0, 5, 0)] == {
         ci("x", (1, 5, 0), 6): Fraction(1),
         ci("y", (0, 6, 0), 6): Fraction(6),
         ci("z", (0, 5, 1), 6): Fraction(1),
     }
-    assert _labeled(matrix, ("div@6", (1, 4, 0))) == {
+    assert rows["div@6", (1, 4, 0)] == {
         ci("x", (2, 4, 0), 6): Fraction(2),
         ci("y", (1, 5, 0), 6): Fraction(5),
         ci("z", (1, 4, 1), 6): Fraction(1),
     }
     # first-integral single-entry row forcing the y^7 coefficient of X_6^y
-    assert _labeled(matrix, ("fi@7", (0, 7, 0))) == {ci("y", (0, 6, 0), 6): Fraction(1)}
+    assert rows["fi@7", (0, 7, 0)] == {ci("y", (0, 6, 0), 6): Fraction(1)}
     # intermediate degrees carry plain single systems: no cross-block entries
-    for label, row in _row_lookup(matrix).items():
-        tag = label[0]
+    for (tag, _), row in rows.items():
         if tag.endswith("@4") or tag.endswith("@5"):
             m = int(tag.split("@")[1])
             wanted = {m} if tag.startswith(("curl", "div")) else {m - 1}
-            degrees = {matrix.col_labels[c].term_degree for c in row}
+            degrees = {label.term_degree for label in row}
             assert degrees <= wanted
 
 
 def test_nonzero_constant_window_frozen_rows():
     factor = TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -3))
-    matrix = assemble_window(factor, 3, 1).matrix
-
-    def ci(comp, mono, deg):
-        return CoefficientIndex(comp, mono, deg)
-
+    rows = dict(assemble_window(factor, 3, 1).matrix.labeled_rows())
     # curl(X_4) = f0 X_3, x-component at y^3
-    assert _labeled(matrix, ("curl_x@4", (0, 3, 0))) == {
+    assert rows["curl_x@4", (0, 3, 0)] == {
         ci("z", (0, 4, 0), 4): Fraction(4),
         ci("y", (0, 3, 1), 4): Fraction(-1),
         ci("x", (0, 3, 0), 3): Fraction(-1),
     }
     # div(X_4) at y^3
-    assert _labeled(matrix, ("div@4", (0, 3, 0))) == {
+    assert rows["div@4", (0, 3, 0)] == {
         ci("x", (1, 3, 0), 4): Fraction(1),
         ci("y", (0, 4, 0), 4): Fraction(4),
         ci("z", (0, 3, 1), 4): Fraction(1),
@@ -193,24 +154,20 @@ def test_nonzero_constant_window_frozen_rows():
 
 
 def test_counterexample_window_frozen_rows():
-    matrix = assemble_window(_counterexample_factor(), 1, 1).matrix
-
-    def ci(comp, mono, deg):
-        return CoefficientIndex(comp, mono, deg)
-
+    rows = dict(assemble_window(golden.counterexample_factor(), 1, 1).matrix.labeled_rows())
     # curl(X_2) = f0 X_1, x-component at monomial x
-    assert _labeled(matrix, ("curl_x@2", (1, 0, 0))) == {
+    assert rows["curl_x@2", (1, 0, 0)] == {
         ci("z", (1, 1, 0), 2): Fraction(1),
         ci("y", (1, 0, 1), 2): Fraction(-1),
         ci("x", (1, 0, 0), 1): Fraction(-1),
     }
     # halved first-integral row <(x,y,-z), X_1> at monomial xy
-    assert _labeled(matrix, ("fi@2", (1, 1, 0))) == {
+    assert rows["fi@2", (1, 1, 0)] == {
         ci("x", (0, 1, 0), 1): Fraction(1),
         ci("y", (1, 0, 0), 1): Fraction(1),
     }
     # mixed row <(x,y,-z), X_2> + <(yz,xz,xy), X_1> at monomial x^2 y
-    assert _labeled(matrix, ("fi@3", (2, 1, 0))) == {
+    assert rows["fi@3", (2, 1, 0)] == {
         ci("x", (1, 1, 0), 2): Fraction(1),
         ci("y", (2, 0, 0), 2): Fraction(1),
         ci("z", (1, 0, 0), 1): Fraction(1),
@@ -221,14 +178,8 @@ def test_quartic_component_couples_into_first_integral_rows():
     f4 = P(4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1})
     factor = TruncatedFactor.diagonal(0, SigmaTriple(1, 1, -3), {4: f4})
     matrix = assemble_window(factor, 3, 3).matrix
-    fi6 = [
-        row
-        for label, row in _row_lookup(matrix).items()
-        if label[0] == "fi@6"
-    ]
-    touched = {
-        matrix.col_labels[c].term_degree for row in fi6 for c in row
-    }
+    fi6 = golden.rows_by_tag(matrix, "fi@6")
+    touched = {label.term_degree for row in fi6 for label in row}
     assert touched == {3, 5}  # f2 couples X_5, f4 couples X_3
 
 
@@ -259,11 +210,7 @@ def test_offset_resonance_lives_in_top_block():
         for vec in basis.vectors
     ]
     labels6 = [l for l in basis.col_labels if l.term_degree == 6]
-    lifted = []
-    for which in (1, 2):
-        coeffs = field_to_coefficients(lifted_field(6, which))
-        lifted.append([coeffs.get(l, Fraction(0)) for l in labels6])
-    assert rank_of_vectors(top) == rank_of_vectors(top + lifted) == 2
+    assert golden.span_equals(top, labels6, [lifted_field(6, 1), lifted_field(6, 2)])
 
 
 def test_nonzero_constant_window_forces_resonant_leading_term():
@@ -273,7 +220,7 @@ def test_nonzero_constant_window_forces_resonant_leading_term():
 
 
 def test_window_projection_contained_in_single_kernel():
-    factor = _counterexample_factor()
+    factor = golden.counterexample_factor()
     basis, projection = window_kernel(factor, 1, 1)
     assert projection == 1
     single = kernel_single(1, SigmaTriple(1, 1, -1))
@@ -299,17 +246,13 @@ def test_window_scaling_invariance():
 
 
 def test_counterexample_window_kernel_is_the_displayed_pair():
-    factor = _counterexample_factor()
+    factor = golden.counterexample_factor()
     basis, projection = window_kernel(factor, 1, 1)
     assert basis.dimension == 1 and projection == 1
-    x1, x2 = _pair()
+    x1, x2 = golden.counterexample_pair()
     assert check_window_solution(factor, 1, 1, {1: x1, 2: x2})
-    coeffs = {}
-    coeffs.update(field_to_coefficients(x1))
-    coeffs.update(field_to_coefficients(x2))
-    pair_vec = [coeffs.get(l, Fraction(0)) for l in basis.col_labels]
-    stacked = [list(v) for v in basis.vectors]
-    assert rank_of_vectors(stacked + [pair_vec]) == 1
+    pair_vec = coefficient_vector({1: x1, 2: x2}, basis.col_labels)
+    assert rank_of_vectors([*basis.vectors, pair_vec]) == 1
 
 
 def test_guard_catches_dropped_curl_couplings(monkeypatch):
@@ -317,7 +260,7 @@ def test_guard_catches_dropped_curl_couplings(monkeypatch):
     # in the assembler cannot hide from it
     curl_rows = _assembly.curl_rows
     monkeypatch.setattr(
-        _assembly, "curl_rows", lambda m, couplings, cs: curl_rows(m, [], cs)
+        _assembly, "curl_rows", lambda m, couplings, *rest: curl_rows(m, [], *rest)
     )
     with pytest.raises(AssertionError, match="substitution check"):
         window_kernel(TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -3)), 3, 1)
@@ -326,7 +269,7 @@ def test_guard_catches_dropped_curl_couplings(monkeypatch):
 def test_single_degree_guard_catches_dropped_first_integral_rows(monkeypatch):
     # without <grad f2, X> = 0 the degree-1 kernel holds every linear
     # gradient field, which the operator check in kernel_single rejects
-    monkeypatch.setattr(_assembly, "first_integral_rows", lambda *args: [])
+    monkeypatch.setattr(_assembly, "first_integral_rows", lambda *rest: [])
     with pytest.raises(AssertionError, match="operator substitution check"):
         kernel_single(1, SigmaTriple(1, 1, -1))
 
@@ -369,7 +312,7 @@ def test_forced_source_probe():
 
 
 def test_epsilon_zero_equals_cubic_free_window():
-    factor = _counterexample_factor()
+    factor = golden.counterexample_factor()
     stripped = TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -1))
     scaled = factor.with_cubic_scaled
     assert assemble_window(scaled(0), 1, 1).matrix == assemble_window(stripped, 1, 1).matrix
@@ -382,7 +325,7 @@ def test_epsilon_requires_cubic_component():
 
 
 def test_epsilon_sweep_projection_dimensions():
-    factor = _counterexample_factor()
+    factor = golden.counterexample_factor()
     dims = []
     for eps in (Fraction(1), Fraction(1, 10), Fraction(1, 100), Fraction(0)):
         _, projection = window_kernel(factor.with_cubic_scaled(eps), 1, 1)
@@ -411,7 +354,7 @@ def test_resonant_cascade_with_quartic_tail_trivial():
 
 
 def test_counterexample_cascade_inconclusive():
-    report = analyze(_counterexample_factor())
+    report = analyze(golden.counterexample_factor())
     assert report.verdict == VERDICT_INCONCLUSIVE
     assert [r.degree for r in report.risky] == [1]
     assert report.risky[0].projection_dim >= 1

@@ -9,7 +9,7 @@ import pytest
 
 from beltrami_jets import HomogeneousPolynomial, SigmaTriple, TruncatedFactor
 from beltrami_jets.cli import main
-from beltrami_jets.golden import SuiteConfig, run_suite
+from beltrami_jets.golden import SuiteConfig, counterexample_factor, run_suite
 from beltrami_jets.polynomials import poly_to_json
 
 P = HomogeneousPolynomial
@@ -18,10 +18,6 @@ P = HomogeneousPolynomial
 def _write_factor(path, factor):
     path.write_text(json.dumps(factor.to_json()), encoding="utf-8")
     return str(path)
-
-
-def _counterexample():
-    return TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -1), {3: P(3, {(1, 1, 1): 2})})
 
 
 def test_classify_resonant(capsys):
@@ -97,7 +93,7 @@ def test_cascade_trivial_factor_exits_0(tmp_path, capsys):
 
 
 def test_cascade_counterexample_exits_1(tmp_path, capsys):
-    path = _write_factor(tmp_path / "f.json", _counterexample())
+    path = _write_factor(tmp_path / "f.json", counterexample_factor())
     report_path = tmp_path / "out.json"
     assert main(["cascade", "--factor", path, "--json", "--report", str(report_path)]) == 1
     report = json.loads(capsys.readouterr().out)
@@ -193,7 +189,7 @@ def test_cascade_eps_requires_cubic(tmp_path, capsys):
     path = _write_factor(tmp_path / "f.json", factor)
     assert main(["cascade", "--factor", path, "--eps", "1/10"]) == 2
     capsys.readouterr()
-    path2 = _write_factor(tmp_path / "g.json", _counterexample())
+    path2 = _write_factor(tmp_path / "g.json", counterexample_factor())
     assert main(["cascade", "--factor", path2, "--eps", "1/10", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["eps"] == "1/10"
@@ -205,7 +201,7 @@ def test_cascade_eps_analyzes_the_factor_with_scaled_cubic(tmp_path, capsys, eps
     eps = eps_args[-1].removeprefix("--eps=")
     cubic = P(3, {(1, 1, 1): 2 * Fraction(eps)})
     scaled = TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -1), {3: cubic})
-    code = main(["cascade", "--factor", _write_factor(tmp_path / "f.json", _counterexample()),
+    code = main(["cascade", "--factor", _write_factor(tmp_path / "f.json", counterexample_factor()),
                  "--json", *eps_args])
     with_eps = json.loads(capsys.readouterr().out)["results"]
     assert with_eps.pop("eps") == eps

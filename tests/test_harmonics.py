@@ -17,7 +17,7 @@ from beltrami_jets import (
 )
 from beltrami_jets.harmonics import lifted_field, planar_harmonics
 from beltrami_jets.linalg import ConstraintMatrix, rank
-from beltrami_jets.polynomials import field_to_coefficients, monomials_of_degree
+from beltrami_jets.polynomials import coefficient_vector, monomials_of_degree
 from beltrami_jets.single_degree import assemble_single
 
 P = HomogeneousPolynomial
@@ -100,6 +100,5 @@ def test_lifted_fields_lie_in_single_system_kernels():
     for i in range(1, 11):
         system = assemble_single(i, SigmaTriple(1, 1, -i))
         for which in (1, 2):
-            coeffs = field_to_coefficients(lifted_field(i, which))
-            vec = [coeffs.get(l, Fraction(0)) for l in system.col_labels]
+            vec = coefficient_vector({i: lifted_field(i, which)}, system.col_labels)
             assert all(r == 0 for r in system.multiply(vec))

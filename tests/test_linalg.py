@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from beltrami_jets import golden, linalg
+from beltrami_jets import HomogeneousPolynomial, PolynomialVectorField, golden, linalg
 from beltrami_jets.cascade import assemble_window
 from beltrami_jets.linalg import (
     PRIME,
@@ -22,6 +23,7 @@ from beltrami_jets.linalg import (
     rank_dense,
     rank_of_vectors,
 )
+from beltrami_jets.polynomials import coefficient_indices
 from beltrami_jets.single_degree import SigmaTriple, assemble_single
 
 
@@ -31,11 +33,7 @@ def _matrix(rows, cols, data):
     for (r, c), v in data.items():
         if v != 0:
             row_entries[r][c] = Fraction(v)
-    return ConstraintMatrix(
-        col_labels=tuple(range(cols)),
-        row_labels=tuple(range(rows)),
-        row_entries=tuple(row_entries),
-    )
+    return ConstraintMatrix.from_rows(range(cols), enumerate(row_entries))
 
 
 def _random_matrix(rng, rows, cols, density=0.35):
@@ -65,46 +63,32 @@ def test_kernel_of_difference_row():
     assert basis.vectors == ((Fraction(1), Fraction(1)),)
 
 
+def _degree_one_matrix(rows):
+    """Rows keyed by coefficient label, on the columns of a degree-1 field."""
+    labels = coefficient_indices(1)
+    position = {label: c for c, label in enumerate(labels)}
+    return ConstraintMatrix.from_rows(
+        labels, enumerate({position[l]: v for l, v in row.items()} for row in rows)
+    )
+
+
 def test_degree_one_curl_block_has_rank_three():
-    # hand row-reduction: the three coefficient equations of a curl-free
-    # linear field are independent; columns a(100..001), b(...), c(...)
-    a, b, c = 0, 3, 6
-    rows = {
-        (0, b + 2): -1, (0, c + 1): 1,   # -b(001) + c(010)
-        (1, a + 2): 1, (1, c + 0): -1,   # a(001) - c(100)
-        (2, a + 1): -1, (2, b + 0): 1,   # -a(010) + b(100)
-    }
-    assert rank(_matrix(3, 9, rows)) == 3
+    # the three coefficient equations of a curl-free linear field are independent
+    curl_rows = golden.reference_rows_degree_one(SigmaTriple(1, 1, -1))["curl"]
+    assert rank(_degree_one_matrix(curl_rows)) == 3
 
 
 def test_stacked_degree_one_system_kernel_dimension():
-    # full degree-1 system at sigma = (1,1,-1), written out by hand:
-    # curl rows, div row, and the six halved first-integral rows
-    s1, s2, s3 = Fraction(1), Fraction(1), Fraction(-1)
-    a, b, c = 0, 3, 6  # column offsets for components; order (100),(010),(001)
-    rows = [
-        {b + 2: -1, c + 1: 1},
-        {a + 2: 1, c + 0: -1},
-        {a + 1: -1, b + 0: 1},
-        {a + 0: 1, b + 1: 1, c + 2: 1},
-        {a + 1: s1, b + 0: s2},
-        {b + 2: s2, c + 1: s3},
-        {a + 2: s1, c + 0: s3},
-        {c + 2: s3},
-        {b + 1: s2},
-        {a + 0: s1},
-    ]
-    data = {(r, col): v for r, row in enumerate(rows) for col, v in row.items()}
-    m = _matrix(10, 9, data)
-    basis = kernel_basis(m)
+    # the full degree-1 reference system at sigma = (1,1,-1): curl rows, div
+    # row, and the six halved first-integral rows
+    reference = golden.reference_rows_degree_one(SigmaTriple(1, 1, -1))
+    basis = kernel_basis(_degree_one_matrix(sum(reference.values(), [])))
     assert basis.dimension == 2
-    # kernel is span{(z,0,x), (0,z,y)}: columns a(001)=2, c(100)=6 / b(001)=5, c(010)=7
-    expected = [
-        [0, 0, 1, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 1, 0, 1, 0],
-    ]
-    stacked = [list(v) for v in basis.vectors]
-    assert rank_of_vectors(stacked + expected) == 2
+    # the kernel is span{(z, 0, x), (0, z, y)}
+    x, y, z = (HomogeneousPolynomial.monomial(m) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    zero = HomogeneousPolynomial.zero(1)
+    expected = [PolynomialVectorField(1, z, zero, x), PolynomialVectorField(1, zero, z, y)]
+    assert golden.span_equals(basis.vectors, basis.col_labels, expected)
 
 
 def test_rank_nullity_and_cross_oracle_on_random_matrices():
@@ -135,6 +119,19 @@ def test_rank_nullity_and_cross_oracle_on_random_matrices():
         assert rank_of_vectors(both) == basis.dimension
         # and both give the same canonical basis
         assert basis.vectors == tuple(dense)
+
+
+@pytest.mark.parametrize("alphabet", [(-1, 0, 1), (0, 1, PRIME)], ids=["signs", "prime"])
+def test_kernel_basis_matches_dense_oracle_on_every_3x3_matrix(alphabet):
+    # every multiset of three rows over the alphabet, 3654 matrices: the
+    # canonical basis does not depend on row order, so these cover all 3^9
+    # matrices.  Over {0, 1, PRIME} the rank drops mod PRIME and the loop
+    # grows the row set.
+    multisets = list(combinations_with_replacement(product(alphabet, repeat=3), 3))
+    assert len(multisets) == 3654
+    for rows in multisets:
+        m = _matrix(3, 3, {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
+        assert kernel_basis(m).vectors == tuple(kernel_basis_dense(m)), rows
 
 
 def test_grown_row_set_alone_reaches_the_exact_kernel(monkeypatch):
