@@ -72,7 +72,7 @@ def test_criterion_01_vector_calculus_identities():
         assert div(scale_mul(g, v)) == dot(grad(g), v) + g * div(v)
         samples += 2
     for _ in range(40):
-        u = random_field(rng, rng.randint(0, 4))
+        u = random_field(rng, rng.randint(0, 5))
         v = random_field(rng, u.degree)
         w = random_field(rng, u.degree)
         c = Fraction(rng.randint(-7, 7), rng.randint(1, 7))
@@ -86,7 +86,8 @@ def test_criterion_01_vector_calculus_identities():
 
 
 def test_criterion_02_reference_row_golden_match():
-    for sigma in (SigmaTriple(5, 7, 11), SigmaTriple(Fraction(2, 3), -4, 9)):
+    sigmas = (SigmaTriple(5, 7, 11), SigmaTriple(Fraction(2, 3), -4, 9), SigmaTriple(1, 1, -1))
+    for sigma in sigmas:
         m1 = assemble_single(1, sigma)
         ref1 = golden.reference_rows_degree_one(sigma)
         for tag in ("curl", "div", "fi"):
@@ -95,7 +96,10 @@ def test_criterion_02_reference_row_golden_match():
         ref2 = golden.reference_rows_degree_two(sigma)
         for tag in ("curl", "div"):
             assert golden.rows_match(golden.rows_by_tag(m2, tag), ref2[tag])
-        assert golden.rows_contain(golden.rows_by_tag(m2, "fi"), ref2["fi_listed"])
+        # the reference listing displays eight of the ten first-integral rows
+        fi_rows = golden.rows_by_tag(m2, "fi")
+        assert len(fi_rows) == 10
+        assert golden.rows_contain(fi_rows, ref2["fi_listed"])
     _report("2 reference rows at degrees 1 and 2 (exact, up to row ordering)")
 
 
@@ -132,17 +136,19 @@ def test_criterion_04_resonant_kernels_and_unflagged_spectra():
 
 
 def test_criterion_05_derived_kernel_table_with_oracle():
+    xyz = grad(P(3, {(1, 1, 1): 1}))
     table = [
-        (1, SigmaTriple(1, -1, 5), 1, None),
-        (2, SigmaTriple(1, 2, -3), 1, grad(P(3, {(1, 1, 1): 1}))),
-        (2, SigmaTriple(1, 1, -2), 2, None),
+        # (degree, sigma, kernel dim, fields spanning the kernel)
+        (1, SigmaTriple(1, -1, 5), 1, [grad(P(2, {(1, 1, 0): 1}))]),
+        (2, SigmaTriple(1, 2, -3), 1, [xyz]),
+        (2, SigmaTriple(1, 1, -2), 2, [xyz, grad(P(3, {(2, 0, 1): 1, (0, 2, 1): -1}))]),
+        (4, SigmaTriple(1, 1, -3), 0, []),
+        (5, SigmaTriple(1, 1, -5), 2, [lifted_field(5, 1), lifted_field(5, 2)]),
     ]
-    for degree, sigma, expected_dim, generator in table:
+    for degree, sigma, dim, fields in table:
         basis = kernel_single(degree, sigma)
-        assert basis.dimension == expected_dim
-        assert kernel_dimension_dense(assemble_single(degree, sigma)) == expected_dim
-        if generator is not None:
-            assert golden.span_equals(basis.vectors, basis.col_labels, [generator])
+        assert basis.dimension == dim == kernel_dimension_dense(assemble_single(degree, sigma))
+        assert golden.span_equals(basis.vectors, basis.col_labels, fields)
     _report("5 derived kernel table confirmed by the dense brute-force oracle")
 
 
@@ -151,7 +157,7 @@ def test_criterion_06_zero_constant_window_sweep():
     for i in range(3, 7):
         factor = TruncatedFactor.diagonal(0, SigmaTriple(1, 1, -i))
         basis, projection = window_kernel(factor, i, 3)
-        assert projection == 0
+        assert projection == 0 and basis.dimension == 0
         offset = TruncatedFactor.diagonal(0, SigmaTriple(1, 1, -(i + 3)))
         obasis, oprojection = window_kernel(offset, i, 3)
         assert oprojection == 0
@@ -164,16 +170,16 @@ def test_criterion_06_zero_constant_window_sweep():
 def test_criterion_07_nonzero_constant_window_sweep():
     for i in range(3, 7):
         factor = TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -i))
-        _, projection = window_kernel(factor, i, 1)
-        assert projection == 0
+        basis, projection = window_kernel(factor, i, 1)
+        assert projection == 0 and basis.dimension == 0
     for beta in (1, 2, 5):
         factor = TruncatedFactor.diagonal(1, SigmaTriple(1, -1, beta))
-        _, projection = window_kernel(factor, 1, 1)
-        assert projection == 0
+        basis, projection = window_kernel(factor, 1, 1)
+        assert projection == 0 and basis.dimension == 0
     for sigma in (SigmaTriple(1, 1, -2), SigmaTriple(1, 2, -3)):
         factor = TruncatedFactor.diagonal(1, sigma)
-        _, projection = window_kernel(factor, 2, 1)
-        assert projection == 0
+        basis, projection = window_kernel(factor, 2, 1)
+        assert projection == 0 and basis.dimension == 0
     _report("7 nonzero-constant windows: degrees 3..6 plus the degree-1/2 solves")
 
 
@@ -208,7 +214,7 @@ def test_criterion_10_end_to_end_cascades():
         factor = TruncatedFactor.diagonal(0, SigmaTriple(1, 1, -3), extra)
         report = analyze(factor)
         assert report.verdict == VERDICT_TRIVIAL
-        assert [r.degree for r in report.risky] == [3]
+        assert [(r.degree, r.projection_dim) for r in report.risky] == [(3, 0)]
     inconclusive_seen = 0
     for _ in range(3):
         extra = {3: random_nonzero_poly(rng, 3)}

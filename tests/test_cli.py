@@ -99,6 +99,9 @@ def test_cascade_counterexample_exits_1(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["verdict"] == "ObstructionInconclusive"
     assert json.loads(report_path.read_text(encoding="utf-8")) == report
+    # the displayed 2-jet does not extend to depth 3, where the window kernel is 0
+    assert main(["cascade", "--factor", path, "--json", "--depth-nonzero", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "TrivialOnly"
 
 
 def test_cascade_quartic_factor_exits_0(tmp_path, capsys):

@@ -13,6 +13,7 @@ from beltrami_jets import (
     curl,
     cylindrical,
     div,
+    grad,
     scale_mul,
     solve_cylindrical_recurrence,
     verify_beltrami_cylindrical,
@@ -69,12 +70,6 @@ def test_bessel_branch_validation():
         bessel_series_coefficients("minus_two_thirds", 6)
 
 
-def test_recurrence_equals_bessel_expansion_through_order_thirty():
-    u, v = solve_cylindrical_recurrence(30)
-    assert u.agrees_with(bessel_series_coefficients(NU_PLUS_TWO_THIRDS, 30), 30)
-    assert v.agrees_with(bessel_series_coefficients(NU_MINUS_ONE_THIRD, 30), 30)
-
-
 def test_cartesian_lift_low_degrees():
     u, v = solve_cylindrical_recurrence(9)
     fields = cartesian_lift(u, v, 6)
@@ -129,17 +124,69 @@ def test_lift_closed_form_equals_repeated_products():
             assert cylindrical._radial_power_times(c, n, m) == power * P.monomial(m)
 
 
-def _doubled_at_degree(wrong_degree):
+def _u9_doubled(monkeypatch):
+    solve = cylindrical.solve_cylindrical_recurrence
+
+    def solve_with_u9_doubled(n):
+        u, v = solve(n)
+        return RadialSeries(u.order, {**u.coeffs, 9: 2 * u.coefficient(9)}), v
+
+    monkeypatch.setattr(cylindrical, "solve_cylindrical_recurrence", solve_with_u9_doubled)
+
+
+def _bessel_r12_plus_one(monkeypatch):
+    bessel = cylindrical.bessel_series_coefficients
+
+    def bessel_with_r12_plus_one(branch, n):
+        series = bessel(branch, n)
+        if branch == NU_MINUS_ONE_THIRD:
+            series = RadialSeries(series.order, {**series.coeffs, 12: series.coefficient(12) + 1})
+        return series
+
+    monkeypatch.setattr(cylindrical, "bessel_series_coefficients", bessel_with_r12_plus_one)
+
+
+@pytest.mark.parametrize(
+    "mutate, expected",
+    [
+        pytest.param(_u9_doubled, (False, False, False), id="u9 doubled"),
+        pytest.param(_bessel_r12_plus_one, (True, False, True), id="Bessel r^12 + 1"),
+    ],
+)
+def test_each_series_check_sees_a_wrong_coefficient(monkeypatch, mutate, expected):
+    """A wrong recurrence coefficient fails the radial equations, and a wrong
+    closed-form coefficient fails the Bessel match alone."""
+    mutate(monkeypatch)
+    report = verify_beltrami_cylindrical(12)
+    assert (report.recurrence_ok, report.bessel_match_ok, report.cartesian_ok) == expected
+
+
+def _lift_changed_at(degree, change):
     def mutate(monkeypatch):
         lift = cylindrical._lift_degree
 
-        def doubled_at_wrong_degree(u, v, k):
+        def changed_at_one_degree(u, v, k):
             field = lift(u, v, k)
-            return field * 2 if k == wrong_degree else field
+            return change(field) if k == degree else field
 
-        monkeypatch.setattr(cylindrical, "_lift_degree", doubled_at_wrong_degree)
+        monkeypatch.setattr(cylindrical, "_lift_degree", changed_at_one_degree)
 
     return mutate
+
+
+def _doubled(field):
+    return field * 2
+
+
+def _plus_gradient(potential):
+    return lambda field: field + grad(potential)
+
+
+# grad(z^13) is curl-free and orthogonal to grad(x^2+y^2) but not
+# divergence-free; Re((x+iz)^13) is harmonic, so its gradient is curl- and
+# divergence-free but not orthogonal to grad(x^2+y^2)
+_Z13 = P(13, {(0, 0, 13): 1})
+_RE_X_IZ_13 = P(13, {(13 - j, 0, j): comb(13, j) * (-1) ** (j // 2) for j in range(0, 14, 2)})
 
 
 def _wrong_binomial(n, j):
@@ -155,16 +202,22 @@ def _wrong_binomial(n, j):
 @pytest.mark.parametrize(
     "order, mutate",
     [
-        pytest.param(12, _doubled_at_degree(0), id="0"),
-        pytest.param(12, _doubled_at_degree(3), id="3"),
-        pytest.param(12, _doubled_at_degree(12), id="12"),
+        pytest.param(12, _lift_changed_at(0, _doubled), id="0"),
+        pytest.param(12, _lift_changed_at(3, _doubled), id="3"),
+        pytest.param(12, _lift_changed_at(12, _doubled), id="12"),
+        pytest.param(12, _lift_changed_at(12, _plus_gradient(_Z13)), id="12+grad z^13"),
+        pytest.param(
+            12, _lift_changed_at(12, _plus_gradient(_RE_X_IZ_13)), id="12+grad Re(x+iz)^13"
+        ),
         pytest.param(12, _wrong_binomial(3, 1), id="C(3,1)+1"),
         pytest.param(103, _wrong_binomial(40, 7), id="C(40,7)+1"),
     ],
 )
 def test_cartesian_check_sees_every_lifted_degree(monkeypatch, order, mutate):
     """The check keeps only a window of lifted components; a wrong one still
-    fails it, and so does one wrong binomial coefficient in the closed form."""
+    fails it, and so does one wrong binomial coefficient in the closed form.
+    The two added gradients each fail one conjunct alone: div, or the first
+    integral."""
     mutate(monkeypatch)
     report = verify_beltrami_cylindrical(order)
     assert report.recurrence_ok and report.bessel_match_ok

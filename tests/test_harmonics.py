@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 
 from beltrami_jets import (
@@ -12,12 +10,11 @@ from beltrami_jets import (
     curl,
     div,
     dot,
+    golden,
     grad,
-    laplacian,
 )
 from beltrami_jets.harmonics import lifted_field, planar_harmonics
-from beltrami_jets.linalg import ConstraintMatrix, rank
-from beltrami_jets.polynomials import coefficient_vector, monomials_of_degree
+from beltrami_jets.polynomials import coefficient_vector
 from beltrami_jets.single_degree import assemble_single
 
 P = HomogeneousPolynomial
@@ -44,30 +41,9 @@ def test_degree_zero_rejected():
         lifted_field(3, 4)
 
 
-def test_pairs_are_planar_and_harmonic():
+def test_pairs_are_planar_harmonic_and_span_the_planar_kernel():
     for i in range(1, 11):
-        pair = planar_harmonics(i)
-        for part in (pair.re_part, pair.im_part):
-            assert all(m[2] == 0 for m in part.coeffs)
-            assert laplacian(part).is_zero()
-
-
-def test_planar_harmonic_space_has_dimension_two():
-    # exact rank of the planar harmonicity system on degree-i polynomials
-    for i in range(2, 9):
-        cols = [m for m in monomials_of_degree(i) if m[2] == 0]
-        pos = {m: k for k, m in enumerate(cols)}
-        rows = []
-        for mu in monomials_of_degree(i - 2):
-            if mu[2] != 0:
-                continue
-            row = {
-                pos[(mu[0] + 2, mu[1], 0)]: Fraction((mu[0] + 2) * (mu[0] + 1)),
-                pos[(mu[0], mu[1] + 2, 0)]: Fraction((mu[1] + 2) * (mu[1] + 1)),
-            }
-            rows.append((("lap", mu), row))
-        matrix = ConstraintMatrix.from_rows(cols, rows)
-        assert rank(matrix) == len(cols) - 2
+        assert golden.planar_harmonics_hold(i), i
 
 
 def test_lifted_cubic_explicit():
