@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,11 @@ from beltrami_jets.cascade import (
     forced_source_feasible,
 )
 from beltrami_jets.harmonics import lifted_field
+from beltrami_jets.linalg import rank_of_vectors
 from beltrami_jets.polynomials import CoefficientIndex as ci
-from beltrami_jets.polynomials import fields_from_vector
+from beltrami_jets.polynomials import coefficient_vector, fields_from_vector
 from beltrami_jets.single_degree import assemble_single
+from conftest import random_nonzero_poly
 
 P = HomogeneousPolynomial
 
@@ -186,6 +189,12 @@ def test_quartic_component_couples_into_first_integral_rows():
 # ---------------------------------------------------------------------------
 
 
+def test_zero_constant_window_forces_resonant_leading_term():
+    factor = TruncatedFactor.diagonal(0, SigmaTriple(1, 1, -3))
+    basis, projection = window_kernel(factor, 3, 3)
+    assert projection == 0 and basis.dimension == 0
+
+
 def test_offset_resonance_lives_in_top_block():
     factor = TruncatedFactor.diagonal(0, SigmaTriple(1, 1, -6))
     basis, projection = window_kernel(factor, 3, 3)
@@ -203,6 +212,12 @@ def test_offset_resonance_lives_in_top_block():
     ]
     labels6 = [l for l in basis.col_labels if l.term_degree == 6]
     assert golden.span_equals(top, labels6, [lifted_field(6, 1), lifted_field(6, 2)])
+
+
+def test_nonzero_constant_window_forces_resonant_leading_term():
+    factor = TruncatedFactor.diagonal(1, SigmaTriple(1, 1, -3))
+    basis, projection = window_kernel(factor, 3, 1)
+    assert projection == 0 and basis.dimension == 0
 
 
 def test_window_projection_contained_in_single_kernel():
@@ -237,6 +252,16 @@ def test_window_scaling_invariance():
     a, pa = window_kernel(base, 3, 1)
     b, pb = window_kernel(scaled, 3, 1)
     assert (a.dimension, pa) == (b.dimension, pb)
+
+
+def test_counterexample_window_kernel_is_the_displayed_pair():
+    factor = golden.counterexample_factor()
+    basis, projection = window_kernel(factor, 1, 1)
+    assert basis.dimension == 1 and projection == 1
+    x1, x2 = golden.counterexample_pair()
+    assert check_window_solution(factor, 1, 1, {1: x1, 2: x2})
+    pair_vec = coefficient_vector({1: x1, 2: x2}, basis.col_labels)
+    assert rank_of_vectors([*basis.vectors, pair_vec]) == 1
 
 
 def test_guard_catches_dropped_curl_couplings(monkeypatch):
@@ -326,6 +351,15 @@ def test_same_sign_cascade_trivial_with_empty_risky_set():
     report = analyze(TruncatedFactor.diagonal(1, SigmaTriple(1, 2, 3)))
     assert report.verdict == VERDICT_TRIVIAL
     assert report.risky == ()
+
+
+def test_resonant_cascade_with_quartic_tail_trivial():
+    rng = random.Random(59)
+    f4 = random_nonzero_poly(rng, 4)
+    report = analyze(TruncatedFactor.diagonal(0, SigmaTriple(1, 1, -3), {4: f4}))
+    assert report.verdict == VERDICT_TRIVIAL
+    assert [r.degree for r in report.risky] == [3]
+    assert report.risky[0].projection_dim == 0
 
 
 def test_counterexample_cascade_inconclusive():

@@ -41,7 +41,7 @@ def test_degree_zero_rejected():
         lifted_field(3, 4)
 
 
-def test_pairs_are_planar_harmonic_and_span_the_planar_kernel():
+def test_pairs_are_planar_and_harmonic():
     for i in range(1, 11):
         assert golden.planar_harmonics_hold(i), i
 

@@ -19,7 +19,7 @@ from beltrami_jets import (
     scale_mul,
 )
 from beltrami_jets import golden
-from beltrami_jets.harmonics import lifted_field
+from beltrami_jets.harmonics import lifted_field, planar_harmonics
 from beltrami_jets.linalg import coerce_rational
 from beltrami_jets.polynomials import (
     coefficient_indices,
@@ -72,6 +72,13 @@ def test_grad_of_constant_is_zero_field():
     assert grad(g).is_zero()
 
 
+def test_curl_of_gradients_vanishes():
+    rng = random.Random(11)
+    for _ in range(25):
+        g = random_poly(rng, rng.randint(1, 8))
+        assert curl(grad(g)).is_zero()
+
+
 def test_curl_of_counterexample_second_term():
     x1, x2 = golden.counterexample_pair()
     assert curl(x2) == x1
@@ -83,6 +90,13 @@ def test_mistyped_basis_candidate_is_not_curl_free():
     assert curl(v) == _field(0, {(0, 0, 0): 1}, {(0, 0, 0): 1}, {})
 
 
+def test_div_of_curls_vanishes():
+    rng = random.Random(13)
+    for _ in range(25):
+        w = random_field(rng, rng.randint(1, 8))
+        assert div(curl(w)).is_zero()
+
+
 def test_div_of_position_field():
     v = _field(1, {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1})
     assert div(v) == P(0, {(0, 0, 0): 3})
@@ -91,6 +105,16 @@ def test_div_of_position_field():
 def test_laplacian_examples():
     assert laplacian(P(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): -2})).is_zero()
     assert laplacian(P(2, {(2, 0, 0): 1})) == P(0, {(0, 0, 0): 2})
+    for i in range(1, 11):
+        assert laplacian(planar_harmonics(i).re_part).is_zero()
+        assert laplacian(planar_harmonics(i).im_part).is_zero()
+
+
+def test_div_grad_equals_laplacian():
+    rng = random.Random(17)
+    for _ in range(20):
+        g = random_poly(rng, rng.randint(2, 8))
+        assert div(grad(g)) == laplacian(g)
 
 
 def test_dot_traceless_first_integral_instance():
@@ -108,6 +132,17 @@ def test_dot_with_zero_field():
     rng = random.Random(19)
     v = random_field(rng, 4)
     assert dot(PolynomialVectorField.zero(4), v).is_zero()
+
+
+def test_dot_symmetric_and_bilinear():
+    rng = random.Random(23)
+    for _ in range(10):
+        u = random_field(rng, rng.randint(0, 5))
+        v = random_field(rng, u.degree)
+        w = random_field(rng, u.degree)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+        assert dot(u, v) == dot(v, u)
+        assert dot(u, v + w * c) == dot(u, v) + dot(u, w) * c
 
 
 def test_scale_mul_identity_and_monomial():
@@ -141,6 +176,14 @@ def test_scale_mul_pointwise_oracle():
         gv = scale_mul(g, v)
         gval = g.evaluate(pt)
         assert gv.evaluate(pt) == tuple(gval * c for c in v.evaluate(pt))
+
+
+def test_leibniz_rule():
+    rng = random.Random(37)
+    for _ in range(15):
+        g = random_poly(rng, rng.randint(1, 5))
+        v = random_field(rng, rng.randint(1, 5))
+        assert div(scale_mul(g, v)) == dot(grad(g), v) + g * div(v)
 
 
 def test_no_zero_coefficients_stored():

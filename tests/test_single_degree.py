@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from beltrami_jets import (
+    HomogeneousPolynomial,
     SigmaTriple,
     classify_spectrum,
     curl,
@@ -18,8 +20,12 @@ from beltrami_jets import (
 )
 from beltrami_jets import golden
 from beltrami_jets.harmonics import lifted_field
+from beltrami_jets.linalg import kernel_dimension_dense
 from beltrami_jets.polynomials import fields_from_vector
 from beltrami_jets.single_degree import assemble_single
+from conftest import random_mixed_sigma, random_same_sign_sigma
+
+P = HomogeneousPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -81,8 +87,33 @@ def test_parse_rational_sigma():
 
 
 # ---------------------------------------------------------------------------
-# kernels
+# golden rows (frozen by hand from the reference listings, in `golden`)
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [SigmaTriple(5, 7, 11), SigmaTriple(Fraction(2, 3), -4, 9), SigmaTriple(1, 1, -1)],
+)
+def test_degree_one_system_matches_reference_rows(sigma):
+    matrix = assemble_single(1, sigma)
+    expected = golden.reference_rows_degree_one(sigma)
+    for tag in ("curl", "div", "fi"):
+        assert golden.rows_match(golden.rows_by_tag(matrix, tag), expected[tag])
+
+
+@pytest.mark.parametrize(
+    "sigma", [SigmaTriple(5, 7, 11), SigmaTriple(Fraction(2, 3), -4, 9)]
+)
+def test_degree_two_system_matches_reference_rows(sigma):
+    matrix = assemble_single(2, sigma)
+    expected = golden.reference_rows_degree_two(sigma)
+    for tag in ("curl", "div"):
+        assert golden.rows_match(golden.rows_by_tag(matrix, tag), expected[tag])
+    # the reference listing displays eight of the ten first-integral rows
+    fi_rows = golden.rows_by_tag(matrix, "fi")
+    assert len(fi_rows) == 10
+    assert golden.rows_contain(fi_rows, expected["fi_listed"])
 
 
 def test_degree_zero_system_forces_constant_field_to_vanish():
@@ -90,6 +121,18 @@ def test_degree_zero_system_forces_constant_field_to_vanish():
     assert basis.dimension == 0
     matrix = assemble_single(0, SigmaTriple(1, 2, 3))
     assert matrix.rows == 3 and matrix.cols == 3
+
+
+# ---------------------------------------------------------------------------
+# kernels
+# ---------------------------------------------------------------------------
+
+
+def test_resonant_kernel_is_the_lifted_pair():
+    basis = kernel_single(5, SigmaTriple(1, 1, -5))
+    assert basis.dimension == 2
+    pair = [lifted_field(5, 1), lifted_field(5, 2)]
+    assert golden.span_equals(basis.vectors, basis.col_labels, pair)
 
 
 @pytest.mark.xfail(
@@ -101,6 +144,43 @@ def test_span_equals_rejects_a_repeated_field():
     basis = kernel_single(5, SigmaTriple(1, 1, -5))
     field = lifted_field(5, 1)
     assert not golden.span_equals(basis.vectors, basis.col_labels, [field, field])
+
+
+def test_degree_one_pair_kernel():
+    basis = kernel_single(1, SigmaTriple(1, -1, 5))
+    assert basis.dimension == 1
+    swap = HomogeneousPolynomial(2, {(1, 1, 0): 1})  # grad(xy) = (y, x, 0)
+    assert golden.span_equals(basis.vectors, basis.col_labels, [grad(swap)])
+
+
+def test_degree_two_traceless_kernel():
+    basis = kernel_single(2, SigmaTriple(1, 2, -3))
+    assert basis.dimension == 1
+    assert golden.span_equals(basis.vectors, basis.col_labels, [grad(P(3, {(1, 1, 1): 1}))])
+
+
+def test_degree_two_double_resonance_kernel():
+    basis = kernel_single(2, SigmaTriple(1, 1, -2))
+    assert basis.dimension == 2
+    fields = [grad(P(3, {(1, 1, 1): 1})), grad(P(3, {(2, 0, 1): 1, (0, 2, 1): -1}))]
+    assert golden.span_equals(basis.vectors, basis.col_labels, fields)
+
+
+def test_off_resonance_degree_is_trivial():
+    assert kernel_single(4, SigmaTriple(1, 1, -3)).dimension == 0
+
+
+def test_kernel_dimensions_confirmed_by_dense_oracle():
+    cases = [
+        (1, SigmaTriple(1, -1, 5)),
+        (2, SigmaTriple(1, 2, -3)),
+        (2, SigmaTriple(1, 1, -2)),
+        (4, SigmaTriple(1, 1, -3)),
+        (5, SigmaTriple(1, 1, -5)),
+    ]
+    for i, sigma in cases:
+        sparse_dim = kernel_single(i, sigma).dimension
+        assert sparse_dim == kernel_dimension_dense(assemble_single(i, sigma))
 
 
 def test_kernel_fields_satisfy_the_operators():
@@ -132,6 +212,26 @@ def test_kernel_permutation_equivariance():
                 kernel_single(i, permuted).dimension
                 == kernel_single(i, SigmaTriple(*base)).dimension
             )
+
+
+def test_same_sign_kernels_trivial_sampled():
+    rng = random.Random(211)
+    for _ in range(20):
+        sigma = random_same_sign_sigma(rng)
+        for i in range(1, 7):
+            assert kernel_single(i, sigma).dimension == 0
+
+
+def test_mixed_unflagged_kernels_trivial_sampled():
+    rng = random.Random(223)
+    found = 0
+    while found < 20:
+        sigma = random_mixed_sigma(rng)
+        if classify_spectrum(sigma).risky_degrees:
+            continue
+        for i in range(1, 7):
+            assert kernel_single(i, sigma).dimension == 0
+        found += 1
 
 
 # ---------------------------------------------------------------------------
