@@ -25,14 +25,13 @@ from .cascade import (
 )
 from .cylindrical import verify_beltrami_cylindrical
 from .harmonics import lifted_field, planar_harmonics
-from .linalg import ConstraintMatrix, kernel_dimension_dense, rank, rank_of_vectors
+from .linalg import ConstraintMatrix, kernel_dimension_dense, rank_of_vectors
 from .polynomials import (
     CoefficientIndex,
     HomogeneousPolynomial,
     PolynomialVectorField,
     coefficient_vector,
     laplacian,
-    monomials_of_degree,
 )
 from .single_degree import (
     SigmaTriple,
@@ -219,32 +218,26 @@ def random_nonzero_rational(rng: random.Random, span: int = 9) -> Fraction:
 
 
 def span_equals(basis_vectors, col_labels, fields) -> bool:
-    """Whether span(basis) == span(basis + fields), by exact rank."""
+    """Whether the fields are independent and span(basis) == span(basis + fields),
+    by exact rank."""
     stacked = [list(v) for v in basis_vectors]
     extra = [coefficient_vector({field.degree: field}, col_labels) for field in fields]
-    return rank_of_vectors(stacked) == rank_of_vectors(stacked + extra) == len(fields)
+    return (
+        rank_of_vectors(stacked) == rank_of_vectors(stacked + extra)
+        == rank_of_vectors(extra) == len(fields)
+    )
 
 
 def planar_harmonics_hold(i: int) -> bool:
-    """Re/Im((x+Iy)^i) are z-free and harmonic, and the planar Laplacian on
-    degree-i (x,y)-polynomials has a 2-dim kernel."""
+    """Re/Im((x+Iy)^i) are z-free, harmonic and independent, so they span the
+    degree-i planar harmonics, a space of dimension 2: the Laplacian sends
+    x^(a+2) y^b to (a+2)(a+1) x^a y^b plus a higher power of x, so it maps the
+    i+1 planar monomials of degree i onto the i-1 of degree i-2."""
     pair = planar_harmonics(i)
-    for part in (pair.re_part, pair.im_part):
-        if not (all(m[2] == 0 for m in part.coeffs) and laplacian(part).is_zero()):
-            return False
-    cols = [m for m in monomials_of_degree(i) if m[2] == 0]
-    pos = {m: k for k, m in enumerate(cols)}
-    rows = []
-    for mu in monomials_of_degree(i - 2):
-        if mu[2] != 0:
-            continue
-        row = {}
-        mx = (mu[0] + 2, mu[1], 0)
-        my = (mu[0], mu[1] + 2, 0)
-        row[pos[mx]] = Fraction((mu[0] + 2) * (mu[0] + 1))
-        row[pos[my]] = Fraction((mu[1] + 2) * (mu[1] + 1))
-        rows.append((("lap", mu), row))
-    return rank(ConstraintMatrix.from_rows(cols, rows)) == len(cols) - 2
+    parts = (pair.re_part, pair.im_part)
+    if not all(all(m[2] == 0 for m in p.coeffs) and laplacian(p).is_zero() for p in parts):
+        return False
+    return rank_of_vectors([[p.coefficient((k, i - k, 0)) for k in range(i + 1)] for p in parts]) == 2
 
 
 def lifted_fields_span_kernel(i: int, s: SigmaTriple) -> bool:
@@ -412,7 +405,7 @@ def _check_pinned_leading_term(cfg: SuiteConfig) -> tuple[bool, str]:
     for l1, l2 in probes:
         pinned = lifted_field(3, 1) * l1 + lifted_field(3, 2) * l2
         ok = ok and not forced_source_feasible(f, 3, 3, pinned)
-    ok = ok and forced_source_feasible(f, 3, 3, PolynomialVectorField.zero(3))
+    ok = ok and forced_source_feasible(counterexample_factor(), 1, 1, counterexample_pair()[0])
     return ok, f"{len(probes)} nonzero probes rejected"
 
 

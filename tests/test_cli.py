@@ -15,8 +15,24 @@ from beltrami_jets.polynomials import poly_to_json
 P = HomogeneousPolynomial
 
 
+# a suite config small enough for a unit test; each test overrides what it probes
+SMALL_SUITE = {
+    "same_sign_samples": 2,
+    "mixed_samples": 2,
+    "sample_max_degree": 3,
+    "window_zero_range": [3],
+    "window_nonzero_range": [3],
+    "series_order": 8,
+}
+
+
 def _write_factor(path, factor):
     path.write_text(json.dumps(factor.to_json()), encoding="utf-8")
+    return str(path)
+
+
+def _write_config(path, config):
+    path.write_text(json.dumps(config), encoding="utf-8")
     return str(path)
 
 
@@ -244,18 +260,8 @@ def test_verify_bessel(capsys):
 
 
 def test_suite_runs_with_small_config(tmp_path, capsys):
-    config = {
-        "resonance_table": [[3, "1,1,-3"]],
-        "same_sign_samples": 2,
-        "mixed_samples": 2,
-        "sample_max_degree": 3,
-        "window_zero_range": [3],
-        "window_nonzero_range": [3],
-        "series_order": 8,
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["verify-paper-suite", "--config", str(path), "--json"]) == 0
+    path = _write_config(tmp_path / "cfg.json", {**SMALL_SUITE, "resonance_table": [[3, "1,1,-3"]]})
+    assert main(["verify-paper-suite", "--config", path, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     checks = report["results"]["checks"]
     assert len(checks) >= 10
@@ -292,9 +298,8 @@ def test_suite_runs_with_small_config(tmp_path, capsys):
     ids=lambda override: next(iter(override)) + "=" + json.dumps(next(iter(override.values()))),
 )
 def test_suite_config_that_would_pass_vacuously_exits_2(tmp_path, capsys, override):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(override), encoding="utf-8")
-    assert main(["verify-paper-suite", "--config", str(path)]) == 2
+    path = _write_config(tmp_path / "cfg.json", override)
+    assert main(["verify-paper-suite", "--config", path]) == 2
     assert "bad suite config" in capsys.readouterr().err
     with pytest.raises(ValueError):
         SuiteConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in override.items()})
@@ -325,18 +330,8 @@ def test_crashed_checks_keep_their_names():
 
 
 def test_degenerate_sigma_string_is_a_named_failure(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    config = {
-        "pair_sigmas": ["1,0,1"],
-        "same_sign_samples": 2,
-        "mixed_samples": 2,
-        "sample_max_degree": 3,
-        "window_zero_range": [3],
-        "window_nonzero_range": [3],
-        "series_order": 8,
-    }
-    path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["verify-paper-suite", "--config", str(path)]) == 1
+    path = _write_config(tmp_path / "cfg.json", {**SMALL_SUITE, "pair_sigmas": ["1,0,1"]})
+    assert main(["verify-paper-suite", "--config", path]) == 1
     out = capsys.readouterr().out
     assert "FAIL coupled_window_nonzero_constant: error: degenerate Hessian" in out
     assert sum(line.startswith("FAIL") for line in out.splitlines()) == 1
@@ -357,32 +352,15 @@ def test_suite_config_nested_too_deeply_exits_2(tmp_path, capsys):
 
 
 def test_suite_fault_injection_names_the_failure(tmp_path, capsys):
-    config = {
-        "resonance_table": [[3, "1,1,-3"], [4, "1,2,-4"]],
-        "same_sign_samples": 2,
-        "mixed_samples": 2,
-        "sample_max_degree": 3,
-        "window_zero_range": [3],
-        "window_nonzero_range": [3],
-        "series_order": 8,
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["verify-paper-suite", "--config", str(path)]) == 1
+    config = {**SMALL_SUITE, "resonance_table": [[3, "1,1,-3"], [4, "1,2,-4"]]}
+    path = _write_config(tmp_path / "cfg.json", config)
+    assert main(["verify-paper-suite", "--config", path]) == 1
     out = capsys.readouterr().out
     assert "FAIL lifted_fields_span_resonant_kernels" in out
 
 
 def test_suite_fault_injection_via_library():
-    cfg = SuiteConfig(
-        resonance_table=((3, "1,1,-3"), (4, "1,2,-4")),
-        same_sign_samples=2,
-        mixed_samples=2,
-        sample_max_degree=3,
-        window_zero_range=(3,),
-        window_nonzero_range=(3,),
-        series_order=8,
-    )
+    cfg = SuiteConfig.from_json({**SMALL_SUITE, "resonance_table": [[3, "1,1,-3"], [4, "1,2,-4"]]})
     results = run_suite(cfg)
     failing = [r.name for r in results if not r.passed]
     assert failing == ["lifted_fields_span_resonant_kernels"]

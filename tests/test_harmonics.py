@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from beltrami_jets import (
@@ -44,6 +46,16 @@ def test_degree_zero_rejected():
 def test_pairs_are_planar_and_harmonic():
     for i in range(1, 11):
         assert golden.planar_harmonics_hold(i), i
+
+
+def test_collapsed_pair_is_not_a_planar_basis(monkeypatch):
+    # (Re, Re) is z-free and harmonic but spans one dimension, not two
+    def collapsed(i):
+        pair = planar_harmonics(i)
+        return replace(pair, im_part=pair.re_part)
+
+    monkeypatch.setattr(golden, "planar_harmonics", collapsed)
+    assert not golden.planar_harmonics_hold(5)
 
 
 def test_lifted_cubic_explicit():
